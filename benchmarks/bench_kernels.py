@@ -2,8 +2,12 @@
 fallback and check that both backends agree.
 
 Usage: python benchmarks/bench_kernels.py
+
+Exits with 1 when the backends disagree, which points to a stale _kernels.c:
+regenerate it with `cython -3 src/eatcert/_kernels.pyx` and rebuild.
 """
 
+import sys
 import time
 
 from eatcert import bound
@@ -23,7 +27,7 @@ def time_call(fn, repeat):
 def main():
     if not bound.USING_COMPILED_KERNELS:
         print("compiled kernels unavailable; nothing to compare")
-        return
+        return 0
     stats = WinningStats(0.98, 0.97)
 
     cases = [
@@ -43,6 +47,7 @@ def main():
         ),
     ]
     print(f"{'kernel':<24} {'compiled':>12} {'pure':>12} {'speedup':>9} {'|diff|':>10}")
+    disagree = []
     for name, compiled, pure, rep_c, rep_p in cases:
         t_c, v_c = time_call(compiled, rep_c)
         t_p, v_p = time_call(pure, rep_p)
@@ -50,7 +55,13 @@ def main():
             f"{name:<24} {t_c * 1e3:>10.2f}ms {t_p * 1e3:>10.2f}ms"
             f" {t_p / t_c:>8.1f}x {abs(v_c - v_p):>10.2e}"
         )
+        if v_c != v_p:
+            disagree.append(name)
+    if disagree:
+        print(f"backends disagree on: {', '.join(disagree)}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,15 +1,10 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [Extension("eatcert._kernels", ["src/eatcert/_kernels.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # Pure-Python fallback is selected at import time when the compiled
-    # kernels are unavailable.
-    extensions = []
-
-setup(ext_modules=extensions)
+# _kernels.c is generated from _kernels.pyx (`cython -3 src/eatcert/_kernels.pyx`)
+# and shipped, so the build needs only a C compiler.  optional=True: without
+# one the extension is skipped and the package falls back to pure Python.
+setup(
+    ext_modules=[
+        Extension("eatcert._kernels", ["src/eatcert/_kernels.c"], optional=True)
+    ]
+)

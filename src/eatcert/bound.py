@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .numerics import (
     DEFAULT_OPTIMIZER,
@@ -106,20 +107,36 @@ def entropy_bound_fixed_overlap(stats: WinningStats, c: float) -> float:
     """
     if not 0.5 < c <= 1.0:
         raise ValueError(f"overlap threshold c={c} outside (1/2, 1]")
-    a = bad_subspace_coefficient(c)
+    return _fixed_overlap_curve(stats)(c)
+
+
+def _fixed_overlap_curve(stats: WinningStats) -> Callable[[float], float]:
+    """entropy_bound_fixed_overlap(stats, .) for c in (1/2, 1], with the terms
+    that do not depend on c computed once; the operations per c, and so the
+    values, are the same."""
     pen = (
         stats.defect / 5.0
         + _SQRT2 * (1.0 - stats.preimage_rate) ** 0.25
         + math.sqrt(1.0 - stats.equation_rate)
     )
-    prefactor = max(0.0, 1.0 - a * pen)
-    arg = clamp01(
-        stats.equation_rate - 2.0 * math.sqrt(1.0 - stats.preimage_rate) - a * pen
-    )
-    # Below 1/2 the binary entropy stops being decreasing and the bound is
-    # vacuous; force the subtracted term to its maximum.
-    hterm = 1.0 if arg < 0.5 else binary_entropy(arg)
-    return prefactor * max(0.0, math.log2(1.0 / c) - hterm)
+    arg_base = stats.equation_rate - 2.0 * math.sqrt(1.0 - stats.preimage_rate)
+    log2 = math.log2
+
+    # The optimizers call this ~10^5 times per combined bound, so the clamps
+    # are spelled as comparisons: x if x > 0.0 else 0.0 is max(0.0, x).
+    def at(c: float) -> float:
+        a = 10.0 / (2.0 * c - 1.0) ** 2  # bad_subspace_coefficient(c)
+        prefactor = 1.0 - a * pen
+        if not prefactor > 0.0:
+            return 0.0
+        arg = arg_base - a * pen
+        # Below 1/2 the binary entropy stops being decreasing and the bound
+        # is vacuous; force the subtracted term to its maximum.
+        hterm = 1.0 if arg < 0.5 else binary_entropy(clamp01(arg))
+        gap = log2(1.0 / c) - hterm
+        return prefactor * gap if gap > 0.0 else 0.0
+
+    return at
 
 
 def projection_continuity_penalty(omega_p: float) -> float:
@@ -134,9 +151,7 @@ def projection_continuity_penalty(omega_p: float) -> float:
 
 
 def _entropy_bound_pure(stats: WinningStats, cfg: BoundConfig) -> float:
-    _, best = maximize_scalar(
-        lambda c: entropy_bound_fixed_overlap(stats, c), cfg.c_domain, cfg.optimizer
-    )
+    _, best = maximize_scalar(_fixed_overlap_curve(stats), cfg.c_domain, cfg.optimizer)
     return max(0.0, best - projection_continuity_penalty(stats.preimage_rate) - cfg.xi_slack)
 
 

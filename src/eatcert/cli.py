@@ -18,6 +18,7 @@ from .eat import (
     DEFAULT_RATE_SEARCH,
     RATE_BOUND_CONFIG,
     EatParams,
+    TradeoffCurve,
     TradeoffFunction,
     accumulation_rate,
     asymptotic_rate,
@@ -62,6 +63,9 @@ def _parse_grid(spec: str) -> List[float]:
         if x > hi + 1e-12:
             break
         values.append(min(x, hi))
+        if x >= hi:
+            # Later points would clamp to hi again.
+            break
         k += 1
     return values
 
@@ -125,9 +129,18 @@ def cmd_rate(args) -> int:
         tok = tok.strip()
         n_values.append(math.inf if tok == "inf" else float(tok))
     search = DEFAULT_RATE_SEARCH
+    # One curve per beta serves every cutoff and the infinite-n rows, so each
+    # combined bound is computed once per request.  The curves live only as
+    # long as this request.
+    curves = {
+        beta: TradeoffCurve(beta, args.gamma, search.bound_config)
+        for beta in search.beta_grid
+    }
     # Tradeoff functions are shared across omega and n; build them once.
     tfs = [
-        TradeoffFunction(beta, args.gamma, omega_0, search.bound_config)
+        TradeoffFunction(
+            beta, args.gamma, omega_0, search.bound_config, curve=curves[beta]
+        )
         for beta in search.beta_grid
         for omega_0 in search.omega0_grid
     ]
@@ -135,9 +148,7 @@ def cmd_rate(args) -> int:
     for n in n_values:
         for omega in omegas:
             if math.isinf(n):
-                rate = asymptotic_rate(
-                    omega, args.gamma, search.beta_grid, search.bound_config
-                )
+                rate = asymptotic_rate(omega, curves.values())
             else:
                 rate = max(
                     accumulation_rate(tf, omega, n, args.eps, args.pomega)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -81,9 +82,21 @@ class DeviceBlock:
             raise ValueError("block state must be normalized")
         object.__setattr__(self, "state", state)
 
-    @property
+    # Computed once per block: the protocol simulator draws every round's
+    # response against these.
+    @cached_property
     def device_marginal(self) -> np.ndarray:
         return quantum.partial_trace(self.state, (2, 2), traced=1)
+
+    @cached_property
+    def preimage_zero_probability(self) -> float:
+        return float(np.real(self.device_marginal[0, 0]))
+
+    @cached_property
+    def equation_win_probability(self) -> float:
+        return float(
+            np.real(np.trace(_equation_projector(self.angle) @ self.device_marginal))
+        )
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,7 @@ class QubitBlockDevice:
         j = self._sample_block(rng)
         if j < 0:
             return 2
-        rho = self.blocks[j].device_marginal
-        p0 = float(np.real(rho[0, 0]))
+        p0 = self.blocks[j].preimage_zero_probability
         return 0 if rng.random() < p0 else 1
 
     def respond_equation(self, rng: np.random.Generator) -> int:
@@ -128,11 +140,7 @@ class QubitBlockDevice:
         if j < 0:
             win = rng.random() < self.junk_equation_win
         else:
-            b = self.blocks[j]
-            p_win = float(
-                np.real(np.trace(_equation_projector(b.angle) @ b.device_marginal))
-            )
-            win = rng.random() < p_win
+            win = rng.random() < self.blocks[j].equation_win_probability
         return 0 if win else 1
 
 
@@ -197,9 +205,7 @@ def device_stats(dev: QubitBlockDevice) -> WinningStats:
     omega_p = 1.0 - dev.junk_weight
     omega_m = dev.junk_weight * dev.junk_equation_win
     for b in dev.blocks:
-        omega_m += b.weight * float(
-            np.real(np.trace(_equation_projector(b.angle) @ b.device_marginal))
-        )
+        omega_m += b.weight * b.equation_win_probability
     if omega_p <= _WEIGHT_TOL:
         # No support on the good span; the defect is vacuous.
         return WinningStats(omega_p, min(omega_m, 1.0), 0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .bound import BoundConfig, DEFAULT_BOUND_CONFIG, entropy_bound_combined
 from .numerics import OptimizerConfig
@@ -21,6 +21,7 @@ __all__ = [
     "RATE_OPTIMIZER",
     "RATE_BOUND_CONFIG",
     "EatParams",
+    "TradeoffCurve",
     "TradeoffFunction",
     "tradeoff_value",
     "second_order_coefficient",
@@ -83,12 +84,49 @@ class EatParams:
         return self.omega_exp - self.delta_est / self.gamma
 
 
+class TradeoffCurve:
+    """The un-truncated per-round rate (entropy_bound_combined(omega) - xi)
+    * (1 - beta gamma), each value computed once per instance.
+
+    Tradeoff functions that differ only in their cutoff can share one curve.
+    The stored values live as long as the instance: share it within one
+    computation, not across independent requests.
+    """
+
+    def __init__(
+        self,
+        beta: float,
+        gamma: float,
+        cfg: BoundConfig = DEFAULT_BOUND_CONFIG,
+        xi_slack: float = 0.0,
+    ):
+        if not 0.0 < beta < 1.0:
+            raise ValueError("beta outside (0, 1)")
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError("gamma outside (0, 1]")
+        self.beta = beta
+        self.gamma = gamma
+        self.cfg = cfg
+        self.xi_slack = xi_slack
+        self._values: Dict[float, float] = {}
+
+    def __call__(self, omega: float) -> float:
+        if omega not in self._values:
+            g = entropy_bound_combined(omega, self.beta, self.cfg)
+            self._values[omega] = (g - self.xi_slack) * (
+                1.0 - self.beta * self.gamma
+            )
+        return self._values[omega]
+
+
 class TradeoffFunction:
     """Per-round entropy rate as a function of the test winning frequency.
 
     The underlying curve is (entropy_bound_combined(omega) - xi) * (1 - beta
     gamma); above the cutoff the curve is replaced by its tangent so that the
     slope stays bounded (the curve itself steepens without limit near 1).
+    A curve built for the same beta, gamma, cfg and xi_slack may be passed in
+    to share its values with other cutoffs.
     """
 
     def __init__(
@@ -98,11 +136,17 @@ class TradeoffFunction:
         omega_0: float,
         cfg: BoundConfig = DEFAULT_BOUND_CONFIG,
         xi_slack: float = 0.0,
+        curve: Optional[TradeoffCurve] = None,
     ):
-        if not 0.0 < beta < 1.0:
-            raise ValueError("beta outside (0, 1)")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma outside (0, 1]")
+        if curve is None:
+            curve = TradeoffCurve(beta, gamma, cfg, xi_slack)
+        elif (curve.beta, curve.gamma, curve.cfg, curve.xi_slack) != (
+            beta,
+            gamma,
+            cfg,
+            xi_slack,
+        ):
+            raise ValueError("curve was built for other parameters")
         if not 0.5 < omega_0 <= 1.0:
             raise ValueError("cutoff outside (1/2, 1]")
         self.beta = beta
@@ -110,22 +154,14 @@ class TradeoffFunction:
         self.omega_0 = omega_0
         self.cfg = cfg
         self.xi_slack = xi_slack
-        self._cache: Dict[float, float] = {}
+        # The un-truncated curve, called as self.base(omega).
+        self.base = curve
         self.cutoff_value = self.base(omega_0)
         # Backward secant: a forward or central difference would cross the
         # cutoff and overestimate the cap, breaking its validity as a lower
         # bound on the curve above omega_0.
         h = _SLOPE_STEP
         self.slope = (self.cutoff_value - self.base(omega_0 - h)) / h
-
-    def base(self, omega: float) -> float:
-        """The un-truncated curve."""
-        if omega not in self._cache:
-            g = entropy_bound_combined(omega, self.beta, self.cfg)
-            self._cache[omega] = (g - self.xi_slack) * (
-                1.0 - self.beta * self.gamma
-            )
-        return self._cache[omega]
 
     def value(self, omega: float) -> float:
         """The truncated curve: affine continuation above the cutoff."""
@@ -234,17 +270,12 @@ def accumulation_rate(
     return max(0.0, value - mu / math.sqrt(n))
 
 
-def asymptotic_rate(
-    omega: float,
-    gamma: float,
-    beta_grid: Sequence[float],
-    cfg: BoundConfig = RATE_BOUND_CONFIG,
-) -> float:
-    """Infinite-n rate: best un-truncated curve value over the beta grid."""
+def asymptotic_rate(omega: float, curves: Iterable[TradeoffCurve]) -> float:
+    """Infinite-n rate: best value of the un-truncated curves (one per beta)
+    at omega, floored at zero."""
     best = 0.0
-    for beta in beta_grid:
-        v = entropy_bound_combined(omega, beta, cfg) * (1.0 - beta * gamma)
-        best = max(best, v)
+    for curve in curves:
+        best = max(best, curve(omega))
     return best
 
 
@@ -271,9 +302,16 @@ def optimize_rate(
     if not 0.5 <= threshold <= 1.0:
         return best
     for beta in search.beta_grid:
+        # The cutoffs of one beta share its curve.
+        curve = TradeoffCurve(beta, params.gamma, search.bound_config, params.xi_slack)
         for omega_0 in search.omega0_grid:
             tf = TradeoffFunction(
-                beta, params.gamma, omega_0, search.bound_config, params.xi_slack
+                beta,
+                params.gamma,
+                omega_0,
+                search.bound_config,
+                params.xi_slack,
+                curve=curve,
             )
             trial = replace(params, beta=beta)
             rate = certified_min_entropy(trial, tf) / params.n

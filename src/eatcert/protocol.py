@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.stats import chi2_contingency
@@ -155,17 +155,17 @@ def _category(value: Optional[int]) -> int:
     return 0 if value is BOT else value + 1
 
 
-def _chi2_independent(xs: List[int], ys: List[int]) -> Optional[float]:
-    """p-value of a chi-square independence test, or None if degenerate."""
-    table: Dict[Tuple[int, int], int] = {}
-    for x, y in zip(xs, ys):
-        table[(x, y)] = table.get((x, y), 0) + 1
-    rows = sorted({k[0] for k in table})
-    cols = sorted({k[1] for k in table})
-    if len(rows) < 2 or len(cols) < 2:
+def _chi2_independent(xs: np.ndarray, ys: np.ndarray) -> Optional[float]:
+    """p-value of a chi-square independence test, or None if degenerate.
+
+    xs and ys hold categories 0-2; a category that never occurs gets no row
+    or column.
+    """
+    table = np.bincount(3 * xs + ys, minlength=9).reshape(3, 3)
+    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    if table.shape[0] < 2 or table.shape[1] < 2:
         return None
-    mat = np.array([[table.get((r, c), 0) for c in cols] for r in rows])
-    _, p, _, expected = chi2_contingency(mat)
+    _, p, _, expected = chi2_contingency(table)
     if expected.min() < 1.0:
         return None
     return float(p)
@@ -178,23 +178,27 @@ def markov_condition_audit(
 
     Tests each of the current round's (G, T) against each lagged record
     field (G, T, W) with chi-square independence tests.  Degenerate tables
-    (constant columns) are skipped.
+    (constant columns) are skipped.  significance is the family-wise level:
+    each of the m remaining tests rejects at significance / m (Bonferroni),
+    so a memoryless transcript fails with probability at most significance
+    (up to the chi-square approximation).
     """
     n = len(transcript.rounds)
     if n < 1000:
         raise ValueError("audit needs at least 1000 rounds")
-    g = [r.g for r in transcript.rounds]
-    t = [_category(r.t) for r in transcript.rounds]
-    w = [_category(r.w) for r in transcript.rounds]
+    g = np.array([r.g for r in transcript.rounds])
+    t = np.array([_category(r.t) for r in transcript.rounds])
+    w = np.array([_category(r.w) for r in transcript.rounds])
     current = {"G": g, "T": t}
     past = {"G": g, "T": t, "W": w}
+    p_values = []
     for lag in range(1, max_lag + 1):
         for cur in current.values():
             for prev in past.values():
                 p = _chi2_independent(cur[lag:], prev[:-lag])
-                if p is not None and p < significance:
-                    return False
-    return True
+                if p is not None:
+                    p_values.append(p)
+    return all(p >= significance / len(p_values) for p in p_values)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ class SuiteReport:
 
 
 def _report(name: str, trials: int, worst: float, message: str = "") -> SuiteReport:
-    return SuiteReport(name, trials, worst >= -_TOL, worst, message)
+    # Slacks often come out as numpy scalars; report a plain float.
+    return SuiteReport(name, trials, worst >= -_TOL, float(worst), message)
 
 
 def _vacuous(name: str) -> SuiteReport:

@@ -68,6 +68,30 @@ class TestFixedOverlap:
         with pytest.raises(ValueError):
             entropy_bound_fixed_overlap(WinningStats(1.0, 1.0), 0.5)
 
+    def test_equals_formula_exactly(self):
+        # The formula term by term, as the compiled kernel evaluates it; the
+        # pure-Python objective must give the same floats, not just close ones.
+        def formula(s, c):
+            a = bad_subspace_coefficient(c)
+            pen = (
+                s.defect / 5.0
+                + math.sqrt(2.0) * (1.0 - s.preimage_rate) ** 0.25
+                + math.sqrt(1.0 - s.equation_rate)
+            )
+            prefactor = max(0.0, 1.0 - a * pen)
+            arg = min(max(s.equation_rate - 2.0 * math.sqrt(1.0 - s.preimage_rate) - a * pen, 0.0), 1.0)
+            hterm = 1.0 if arg < 0.5 else binary_entropy(arg)
+            return prefactor * max(0.0, math.log2(1.0 / c) - hterm)
+
+        nonzero = 0
+        for k in range(1, 400):
+            s = WinningStats(1.0 - 10.0 ** -(8 + k % 9), 1.0 - 10.0 ** -(4 + k % 13), (k % 3) * 1e-9)
+            c = 0.5 + k / 800.0
+            got = entropy_bound_fixed_overlap(s, c)
+            assert got == formula(s, c)
+            nonzero += got > 0.0
+        assert nonzero > 50
+
 
 class TestContinuityPenalty:
     def test_perfect_preimage(self):

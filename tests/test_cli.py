@@ -1,10 +1,18 @@
 import math
+from collections import Counter
 
 import pytest
 
-from eatcert import cli
+from eatcert import cli, eat
 from eatcert.cli import UsageError, _parse_grid, main
 from eatcert.devices import ideal_device, serialize_device
+from eatcert.eat import (
+    DEFAULT_RATE_SEARCH,
+    TradeoffCurve,
+    TradeoffFunction,
+    accumulation_rate,
+    asymptotic_rate,
+)
 from eatcert.protocol import parse_transcript
 from eatcert.verify import SuiteReport
 
@@ -41,6 +49,15 @@ class TestParseGrid:
         grid = _parse_grid("0.9995:1.0:0.0001")
         assert grid[-1] == 1.0
         assert len(grid) == 6
+
+    def test_step_below_clamp_tolerance_gives_no_duplicates(self):
+        # The last step lands within 1e-12 of hi; later steps used to clamp
+        # to hi again and repeat it.
+        lo = 0.999999999999
+        grid = _parse_grid(f"{lo!r}:1.0:2e-13")
+        assert len(grid) == len(set(grid)) == 6
+        assert grid[0] == lo and grid[-1] == 1.0
+        assert grid == sorted(grid)
 
     def test_bad_specs(self):
         for spec in ("0:1", "a:b:c", "1:0:0.1", "0:1:0"):
@@ -83,6 +100,13 @@ class TestExitCodes:
 
     def test_verify_pass_is_code_0(self, capsys):
         assert main(["verify", "--suite", "jordan", "--trials", "3"]) == 0
+
+    def test_verify_prints_plain_float_slack(self, capsys):
+        assert main(["verify", "--suite", "jordan", "--trials", "3"]) == 0
+        fields = dict(
+            tok.split("=", 1) for tok in capsys.readouterr().out.split() if "=" in tok
+        )
+        assert float(fields["worst_slack"]) >= -1e-9
 
     def test_zero_trials_warns_but_passes(self, capsys):
         assert main(["verify", "--suite", "tradeoff", "--trials", "0"]) == 0
@@ -143,6 +167,74 @@ class TestRateCommand:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def fake_combined_bound(omega, beta, cfg):
+    """Cheap stand-in for the combined bound: non-zero only near 1."""
+    return max(0.0, 1.0 - 50.0 * (1.0 - omega)) * (1.0 - beta)
+
+
+class TestRateSharing:
+    N = "1e8,1e12,inf"
+    GRID = "0.99:1.0:0.0025"
+    GAMMA = 0.5
+
+    def run_rate(self, out):
+        return main(
+            ["rate", "--n", self.N, "--gamma", repr(self.GAMMA),
+             "--omega-grid", self.GRID, "--out", str(out)]
+        )
+
+    def test_each_bound_evaluated_once_per_request(self, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+
+        def counted(omega, beta, cfg):
+            calls[(omega, beta)] += 1
+            return fake_combined_bound(omega, beta, cfg)
+
+        monkeypatch.setattr(eat, "entropy_bound_combined", counted)
+        # The grid's omegas, the tradeoff cutoffs and their secant points.
+        cutoffs = DEFAULT_RATE_SEARCH.omega0_grid
+        omegas = set(_parse_grid(self.GRID)) | set(cutoffs)
+        omegas |= {omega_0 - eat._SLOPE_STEP for omega_0 in cutoffs}
+        pairs = {(omega, beta) for omega in omegas for beta in DEFAULT_RATE_SEARCH.beta_grid}
+        for k in range(2):
+            calls.clear()
+            assert self.run_rate(tmp_path / f"r{k}.csv") == 0
+            # A second request computes every pair again: nothing is kept
+            # between requests.
+            assert set(calls) == pairs
+            assert set(calls.values()) == {1}
+
+    def test_rows_match_direct_evaluation(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(eat, "entropy_bound_combined", fake_combined_bound)
+        out = tmp_path / "r.csv"
+        assert self.run_rate(out) == 0
+        search = DEFAULT_RATE_SEARCH
+        eps = pomega = 1e-5
+        want = []
+        for tok in self.N.split(","):
+            for omega in _parse_grid(self.GRID):
+                if tok == "inf":
+                    rate = asymptotic_rate(
+                        omega,
+                        [TradeoffCurve(beta, self.GAMMA, search.bound_config)
+                         for beta in search.beta_grid],
+                    )
+                else:
+                    rate = max(
+                        accumulation_rate(
+                            TradeoffFunction(beta, self.GAMMA, omega_0, search.bound_config),
+                            omega, float(tok), eps, pomega,
+                        )
+                        for beta in search.beta_grid
+                        for omega_0 in search.omega0_grid
+                    )
+                want.append([tok if tok == "inf" else str(int(float(tok))), repr(omega), repr(rate)])
+        header, rows = read_rows(out)
+        assert header == ["n", "omega", "rate"]
+        assert rows == want
+        assert any(float(r[2]) > 0.0 for r in rows)
 
 
 class TestSimulateCommand:

@@ -19,6 +19,8 @@ from eatcert.devices import (
     sample_round,
     serialize_device,
 )
+from eatcert.eat import EatParams
+from eatcert.protocol import run_protocol, serialize_transcript
 
 
 def pi0_device():
@@ -168,6 +170,43 @@ class TestConvexity:
                 np.real(np.trace(_equation_projector(b.angle) @ b.device_marginal))
             )
         assert total == pytest.approx(parts, abs=1e-12)
+
+
+class FreshMarginalDevice(QubitBlockDevice):
+    """Responses drawn against the block's device marginal taken afresh in
+    every round, as a reference for the per-block stored probabilities."""
+
+    def respond_preimage(self, rng):
+        j = self._sample_block(rng)
+        if j < 0:
+            return 2
+        rho = quantum.partial_trace(self.blocks[j].state, (2, 2), traced=1)
+        return 0 if rng.random() < float(np.real(rho[0, 0])) else 1
+
+    def respond_equation(self, rng):
+        j = self._sample_block(rng)
+        if j < 0:
+            win = rng.random() < self.junk_equation_win
+        else:
+            b = self.blocks[j]
+            rho = quantum.partial_trace(b.state, (2, 2), traced=1)
+            p_win = float(np.real(np.trace(_equation_projector(b.angle) @ rho)))
+            win = rng.random() < p_win
+        return 0 if win else 1
+
+
+class TestStoredMarginals:
+    def test_transcript_matches_fresh_marginals(self):
+        params = EatParams(
+            n=3000, gamma=0.5, beta=0.3, eps_s=1e-5, p_omega=1e-5,
+            omega_exp=0.9, delta_est=0.02,
+        )
+        for k in range(3):
+            dev = random_device(np.random.default_rng(20 + k), max_blocks=4)
+            fresh = FreshMarginalDevice(dev.blocks, dev.junk_weight, dev.junk_equation_win)
+            a = run_protocol(dev, params, seed=k)
+            b = run_protocol(fresh, params, seed=k)
+            assert serialize_transcript(a) == serialize_transcript(b)
 
 
 class TestSerialization:

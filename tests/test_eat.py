@@ -2,11 +2,14 @@ import math
 
 import pytest
 
+from eatcert import eat
+from eatcert.bound import entropy_bound_combined
 from eatcert.eat import (
     DEFAULT_RATE_SEARCH,
     EatParams,
     OUTCOME_ALPHABET_SIZE,
     RATE_BOUND_CONFIG,
+    TradeoffCurve,
     TradeoffFunction,
     accumulation_rate,
     asymptotic_rate,
@@ -246,19 +249,67 @@ class TestAccumulationRate:
         assert accumulation_rate(tf, 0.9, 1e8, 1e-5, 1e-5) == 0.0
 
 
+def rate_curves(gamma, grid=DEFAULT_RATE_SEARCH.beta_grid):
+    return [TradeoffCurve(beta, gamma, RATE_BOUND_CONFIG) for beta in grid]
+
+
 class TestAsymptoticRate:
     def test_perfect_winning(self):
-        got = asymptotic_rate(1.0, 1.0, DEFAULT_RATE_SEARCH.beta_grid)
+        got = asymptotic_rate(1.0, rate_curves(1.0))
         assert got == pytest.approx(0.98999714, abs=1e-6)
 
     def test_zero_off_support(self):
-        assert asymptotic_rate(0.99, 1.0, DEFAULT_RATE_SEARCH.beta_grid) == 0.0
+        assert asymptotic_rate(0.99, rate_curves(1.0)) == 0.0
 
     def test_dominates_single_beta(self):
         grid = DEFAULT_RATE_SEARCH.beta_grid
-        full = asymptotic_rate(1.0, 1.0, grid)
+        full = asymptotic_rate(1.0, rate_curves(1.0))
         for beta in grid:
-            assert full >= asymptotic_rate(1.0, 1.0, (beta,)) - 1e-12
+            assert full >= asymptotic_rate(1.0, rate_curves(1.0, (beta,))) - 1e-12
+
+    def test_equals_best_combined_bound_over_beta(self):
+        # The curve value (g - 0) * (1 - beta gamma) is the product the
+        # infinite-n rate maximizes, so reading it off a curve is exact.
+        grid = DEFAULT_RATE_SEARCH.beta_grid
+        for omega in (0.99, 1.0 - 1e-13, 1.0):
+            want = max(
+                [0.0]
+                + [
+                    entropy_bound_combined(omega, beta, RATE_BOUND_CONFIG)
+                    * (1.0 - beta * 0.5)
+                    for beta in grid
+                ]
+            )
+            assert asymptotic_rate(omega, rate_curves(0.5)) == want
+
+
+class TestSharedCurve:
+    def test_cutoffs_share_values(self, monkeypatch):
+        calls = []
+        real = eat.entropy_bound_combined
+
+        def counted(omega, beta, cfg):
+            calls.append(omega)
+            return real(omega, beta, cfg)
+
+        monkeypatch.setattr(eat, "entropy_bound_combined", counted)
+        curve = TradeoffCurve(0.045, 1.0, RATE_BOUND_CONFIG)
+        shared = [
+            TradeoffFunction(0.045, 1.0, omega_0, RATE_BOUND_CONFIG, curve=curve)
+            for omega_0 in (0.99, 1.0)
+        ]
+        # 0.99 is the first cutoff and the second one's secant point.
+        assert sorted(calls) == [0.98, 0.99, 1.0]
+        for tf in shared:
+            alone = make_tf(omega_0=tf.omega_0)
+            assert (tf.cutoff_value, tf.slope) == (alone.cutoff_value, alone.slope)
+
+    def test_rejects_curve_for_other_parameters(self):
+        curve = TradeoffCurve(0.045, 1.0, RATE_BOUND_CONFIG)
+        with pytest.raises(ValueError):
+            TradeoffFunction(0.045, 0.5, 1.0, RATE_BOUND_CONFIG, curve=curve)
+        with pytest.raises(ValueError):
+            TradeoffFunction(0.045, 1.0, 1.0, RATE_BOUND_CONFIG, 0.1, curve=curve)
 
 
 class TestOptimizeRate:

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from eatcert.devices import QubitBlockDevice, ideal_device
+from eatcert.devices import QubitBlockDevice, ideal_device, random_device
 from eatcert.eat import EatParams, RATE_BOUND_CONFIG, TradeoffFunction, certified_min_entropy
 from eatcert.protocol import (
     BOT,
@@ -157,6 +158,18 @@ class TestMarkovAudit:
         p = make_params(n=10000)
         tr = run_protocol(ideal_device(), p, seed=3)
         assert markov_condition_audit(tr)
+
+    def test_memoryless_transcripts_pass(self):
+        # run_protocol's rounds are independent by construction.  Each of
+        # these transcripts has a table with p below about 0.01 (0.18 over
+        # the ~18 tables), so testing every table at 0.01 rejects them; at a
+        # family-wise 0.01 they pass.
+        dev = random_device(np.random.default_rng(11), max_blocks=3)
+        p = make_params(n=4000, beta=0.3)
+        for seed in (18, 22):
+            tr = run_protocol(dev, p, seed)
+            assert not markov_condition_audit(tr, significance=0.18)
+            assert markov_condition_audit(tr)
 
     def test_past_dependent_challenges_fail(self):
         # Adversarial scheduler: challenge type copies the previous round's
