@@ -10,10 +10,11 @@ drive both the protocol simulator and the exact-entropy oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "device_operators",
     "exact_round_entropy",
     "exact_equation_entropy",
-    "sample_round",
     "serialize_device",
     "parse_device",
 ]
@@ -116,32 +116,39 @@ class QubitBlockDevice:
         if abs(total - 1.0) > _WEIGHT_TOL:
             raise ValueError(f"weights sum to {total}, expected 1")
 
-    # -- sequential query interface used by the protocol simulator ----------
+    # -- batched responses used by the protocol simulator -------------------
+    # A round selects a sector with one uniform, u_block, and draws its
+    # outcome with another, u_outcome; both arguments are arrays with one
+    # entry per round.
 
-    def _sample_block(self, rng: np.random.Generator) -> int:
-        """Block index, or -1 for the junk sector."""
-        u = rng.random()
-        acc = 0.0
-        for j, b in enumerate(self.blocks):
-            acc += b.weight
-            if u < acc:
-                return j
-        return -1
+    @cached_property
+    def cumulative_weights(self) -> np.ndarray:
+        """Running sums of the block weights, in block order.  A uniform
+        selects the first block whose sum exceeds it, and the junk sector
+        when none does."""
+        return np.array(list(itertools.accumulate(b.weight for b in self.blocks)))
 
-    def respond_preimage(self, rng: np.random.Generator) -> int:
-        j = self._sample_block(rng)
-        if j < 0:
-            return 2
-        p0 = self.blocks[j].preimage_zero_probability
-        return 0 if rng.random() < p0 else 1
+    def _sectors(self, u_block: np.ndarray) -> np.ndarray:
+        """Block index per round, len(blocks) for the junk sector."""
+        return np.searchsorted(self.cumulative_weights, u_block, side="right")
 
-    def respond_equation(self, rng: np.random.Generator) -> int:
-        j = self._sample_block(rng)
-        if j < 0:
-            win = rng.random() < self.junk_equation_win
-        else:
-            win = rng.random() < self.blocks[j].equation_win_probability
-        return 0 if win else 1
+    def respond_preimage(self, u_block: np.ndarray, u_outcome: np.ndarray) -> np.ndarray:
+        """Preimage outcomes: 2 in the junk sector (u_outcome unused there),
+        otherwise 0 when u_outcome falls below the block's preimage-0
+        probability and 1 when it does not."""
+        p_zero = np.array([b.preimage_zero_probability for b in self.blocks] + [0.0])
+        sector = self._sectors(u_block)
+        outcome = np.where(sector == len(self.blocks), 2, u_outcome >= p_zero[sector])
+        return outcome.astype(np.int8)
+
+    def respond_equation(self, u_block: np.ndarray, u_outcome: np.ndarray) -> np.ndarray:
+        """Equation outcomes, 0 for a win: a round wins when u_outcome falls
+        below its block's equation-win probability (``junk_equation_win`` in
+        the junk sector)."""
+        p_win = np.array(
+            [b.equation_win_probability for b in self.blocks] + [self.junk_equation_win]
+        )
+        return (u_outcome >= p_win[self._sectors(u_block)]).astype(np.int8)
 
 
 def ideal_device() -> QubitBlockDevice:
@@ -150,16 +157,6 @@ def ideal_device() -> QubitBlockDevice:
     return QubitBlockDevice(
         blocks=(DeviceBlock(1.0, angle, _named_state("m0", angle)),)
     )
-
-
-def sample_round(
-    dev: QubitBlockDevice, challenge: str, rng: np.random.Generator
-) -> int:
-    if challenge == "preimage":
-        return dev.respond_preimage(rng)
-    if challenge == "equation":
-        return dev.respond_equation(rng)
-    raise ValueError(f"unknown challenge {challenge!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ from eatcert.devices import (
     ideal_device,
     parse_device,
     random_device,
-    sample_round,
     serialize_device,
 )
 from eatcert.eat import EatParams
 from eatcert.protocol import run_protocol, serialize_transcript
+from reference_rounds import run_protocol_per_round
 
 
 def pi0_device():
@@ -118,42 +118,67 @@ class TestExactEntropy:
                 assert expect == pytest.approx(h_xb - h_b, abs=1e-9)
 
 
+def sampled(dev, n, gamma, beta, seed):
+    """A simulated transcript of n rounds against the device."""
+    params = EatParams(
+        n=n, gamma=gamma, beta=beta, eps_s=1e-5, p_omega=1e-5,
+        omega_exp=0.5, delta_est=0.02,
+    )
+    return run_protocol(dev, params, seed)
+
+
 class TestSampling:
     def test_ideal_always_wins_equation(self):
-        rng = np.random.default_rng(2)
-        dev = ideal_device()
-        outcomes = [sample_round(dev, "equation", rng) for _ in range(10000)]
-        assert all(o == 0 for o in outcomes)
+        tr = sampled(ideal_device(), 10000, 1.0, 0.999, seed=2)
+        eq = tr.t == 1
+        assert eq.sum() > 9900
+        assert (tr.m_hat[eq] == 0).all() and (tr.w[eq] == 1).all()
 
     def test_junk_always_fails_preimage(self):
-        rng = np.random.default_rng(3)
-        outcomes = [sample_round(junk_device(), "preimage", rng) for _ in range(100)]
-        assert all(o == 2 for o in outcomes)
+        tr = sampled(junk_device(), 100, 0.5, 0.5, seed=3)
+        pre = tr.t == 0
+        assert pre.any() and (tr.pi_hat[pre] == 2).all()
 
     def test_ideal_preimage_uniform(self):
-        rng = np.random.default_rng(4)
-        outcomes = [sample_round(ideal_device(), "preimage", rng) for _ in range(10000)]
-        freq = sum(1 for o in outcomes if o == 0) / len(outcomes)
+        tr = sampled(ideal_device(), 20000, 0.5, 0.001, seed=4)
+        outcomes = tr.pi_hat[tr.t == 0]
+        freq = np.count_nonzero(outcomes == 0) / len(outcomes)
         assert freq == pytest.approx(0.5, abs=0.02)
+        assert not (outcomes == 2).any()
 
     def test_frequencies_match_stats(self):
         rng = np.random.default_rng(5)
         dev = random_device(rng, max_blocks=2)
         stats = device_stats(dev)
-        n = 100000
-        eq_wins = sum(
-            1 for _ in range(n) if sample_round(dev, "equation", rng) == 0
-        )
-        pre_wins = sum(
-            1 for _ in range(n) if sample_round(dev, "preimage", rng) != 2
-        )
-        for wins, p in ((eq_wins, stats.equation_rate), (pre_wins, stats.preimage_rate)):
+        tr = sampled(dev, 200000, 1.0, 0.5, seed=5)
+        eq, pre = tr.t == 1, tr.t == 0
+        eq_wins = np.count_nonzero(tr.m_hat[eq] == 0)
+        pre_wins = np.count_nonzero(tr.pi_hat[pre] != 2)
+        for wins, n, p in (
+            (eq_wins, eq.sum(), stats.equation_rate),
+            (pre_wins, pre.sum(), stats.preimage_rate),
+        ):
             sigma = math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert wins / n == pytest.approx(p, abs=max(3 * sigma, 1e-3))
 
-    def test_unknown_challenge(self):
-        with pytest.raises(ValueError):
-            sample_round(ideal_device(), "nonsense", np.random.default_rng(0))
+
+class TestResponders:
+    def test_sector_and_outcome_draws(self):
+        angle = math.pi / 2
+        dev = QubitBlockDevice(
+            (
+                DeviceBlock(0.5, angle, _named_state("m0", angle)),  # p0 1/2, win 1
+                DeviceBlock(0.25, angle, _named_state("pi0", angle)),  # p0 1, win 1/2
+            ),
+            junk_weight=0.25,
+            junk_equation_win=0.5,
+        )
+        # Two rounds in each sector: block 0, block 1, junk.
+        u_block = np.array([0.1, 0.1, 0.6, 0.6, 0.9, 0.9])
+        u_outcome = np.array([0.4, 0.6] * 3)
+        assert dev.respond_preimage(u_block, u_outcome).tolist() == [0, 1, 0, 0, 2, 2]
+        assert dev.respond_equation(u_block, u_outcome).tolist() == [0, 0, 0, 1, 0, 1]
+        assert junk_device().respond_preimage(u_block, u_outcome).tolist() == [2] * 6
 
 
 class TestConvexity:
@@ -172,29 +197,6 @@ class TestConvexity:
         assert total == pytest.approx(parts, abs=1e-12)
 
 
-class FreshMarginalDevice(QubitBlockDevice):
-    """Responses drawn against the block's device marginal taken afresh in
-    every round, as a reference for the per-block stored probabilities."""
-
-    def respond_preimage(self, rng):
-        j = self._sample_block(rng)
-        if j < 0:
-            return 2
-        rho = quantum.partial_trace(self.blocks[j].state, (2, 2), traced=1)
-        return 0 if rng.random() < float(np.real(rho[0, 0])) else 1
-
-    def respond_equation(self, rng):
-        j = self._sample_block(rng)
-        if j < 0:
-            win = rng.random() < self.junk_equation_win
-        else:
-            b = self.blocks[j]
-            rho = quantum.partial_trace(b.state, (2, 2), traced=1)
-            p_win = float(np.real(np.trace(_equation_projector(b.angle) @ rho)))
-            win = rng.random() < p_win
-        return 0 if win else 1
-
-
 class TestStoredMarginals:
     def test_transcript_matches_fresh_marginals(self):
         params = EatParams(
@@ -203,9 +205,10 @@ class TestStoredMarginals:
         )
         for k in range(3):
             dev = random_device(np.random.default_rng(20 + k), max_blocks=4)
-            fresh = FreshMarginalDevice(dev.blocks, dev.junk_weight, dev.junk_equation_win)
+            # The reference takes each round's probability afresh from the
+            # block's device marginal.
             a = run_protocol(dev, params, seed=k)
-            b = run_protocol(fresh, params, seed=k)
+            b = run_protocol_per_round(dev, params, seed=k)
             assert serialize_transcript(a) == serialize_transcript(b)
 
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eatcert.devices import QubitBlockDevice, ideal_device, random_device
+from eatcert import protocol
+from eatcert.devices import DeviceBlock, QubitBlockDevice, ideal_device, random_device
 from eatcert.eat import EatParams, RATE_BOUND_CONFIG, TradeoffFunction, certified_min_entropy
 from eatcert.protocol import (
     BOT,
@@ -17,6 +19,7 @@ from eatcert.protocol import (
     run_protocol,
     serialize_transcript,
 )
+from reference_rounds import run_protocol_per_round
 
 
 def make_params(**overrides):
@@ -111,21 +114,23 @@ class TestRunProtocol:
 class TestFreq:
     def test_constructed_counts(self):
         p = make_params(n=4)
-        tr = Transcript(params=p, seed=0)
-        tr.rounds = [
-            RoundRecord(0, "a", 1, 0, 0, BOT, BOT),
-            RoundRecord(1, "b", 0, 0, 0, BOT, 1),
-            RoundRecord(2, "c", 0, 1, BOT, 1, 0),
-            RoundRecord(3, "d", 0, 0, 1, BOT, 1),
-        ]
+        tr = Transcript.from_rounds(
+            p,
+            0,
+            [
+                RoundRecord(0, "a", 1, 0, 0, BOT, BOT),
+                RoundRecord(1, "b", 0, 0, 0, BOT, 1),
+                RoundRecord(2, "c", 0, 1, BOT, 1, 0),
+                RoundRecord(3, "d", 0, 0, 1, BOT, 1),
+            ],
+        )
         assert freq_of(tr).counts == (1, 1, 2)
         assert freq_of(tr, "test").counts == (0, 1, 2)
         assert freq_of(tr).probabilities() == (0.25, 0.25, 0.5)
 
     def test_all_generation(self):
         p = make_params(n=3)
-        tr = Transcript(params=p, seed=0)
-        tr.rounds = [gen_round(i) for i in range(3)]
+        tr = Transcript.from_rounds(p, 0, [gen_round(i) for i in range(3)])
         assert freq_of(tr).probabilities() == (1.0, 0.0, 0.0)
 
     def test_unknown_restriction(self):
@@ -175,19 +180,20 @@ class TestMarkovAudit:
         # Adversarial scheduler: challenge type copies the previous round's
         # win bit, a blatant violation of independence from the past.
         p = make_params(n=5000)
-        tr = Transcript(params=p, seed=0)
+        rounds = []
         w_prev = 1
         for i in range(p.n):
             t = w_prev
             if t == 1:
                 w = 1 if i % 3 else 0
-                tr.rounds.append(RoundRecord(i, f"k{i:08d}", 0, 1, BOT, 1 - w, w))
+                rounds.append(RoundRecord(i, f"k{i:08d}", 0, 1, BOT, 1 - w, w))
             else:
                 w = 1 if i % 4 else 0
-                tr.rounds.append(
+                rounds.append(
                     RoundRecord(i, f"k{i:08d}", 0, 0, 0 if w else 2, BOT, w)
                 )
             w_prev = w
+        tr = Transcript.from_rounds(p, 0, rounds)
         assert not markov_condition_audit(tr)
 
     def test_too_short_raises(self):
@@ -198,8 +204,7 @@ class TestMarkovAudit:
     def test_constant_columns_are_vacuous(self):
         # All-generation transcript: every table is degenerate, audit passes.
         p = make_params(n=1500)
-        tr = Transcript(params=p, seed=0)
-        tr.rounds = [gen_round(i) for i in range(p.n)]
+        tr = Transcript.from_rounds(p, 0, [gen_round(i) for i in range(p.n)])
         assert markov_condition_audit(tr)
 
 
@@ -220,11 +225,212 @@ class TestSerialization:
         assert back.aborted
 
     def test_bot_encoding(self):
-        tr = Transcript(params=make_params(n=1), seed=0)
-        tr.rounds = [gen_round(0)]
+        tr = Transcript.from_rounds(make_params(n=1), 0, [gen_round(0)])
         line = serialize_transcript(tr).splitlines()[1]
         assert line.endswith(",-,-")
 
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             parse_transcript("0,k,1,0,0,-,-\n")
+
+
+def device_with_junk(seed, junk):
+    """A random 1-4 block device whose junk sector has the given weight."""
+    rng = np.random.default_rng(seed)
+    base = random_device(rng, max_blocks=4, max_junk=0.0)
+    blocks = tuple(DeviceBlock(b.weight * (1.0 - junk), b.angle, b.state) for b in base.blocks)
+    return QubitBlockDevice(blocks, junk, float(rng.uniform()) if junk else 0.0)
+
+
+# (junk weight, gamma, beta) of the devices compared with the reference.
+REFERENCE_CASES = [
+    (0.0, 0.5, 0.3),
+    (0.9, 0.5, 0.3),
+    (0.3, 1.0, 0.5),
+    (0.2, 0.6, 1e-3),
+    (0.2, 0.6, 0.999),
+]
+
+
+class TestMatchesPerRoundReference:
+    @pytest.mark.parametrize("key_reuse", [False, True])
+    @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 5000])
+    def test_byte_identical(self, n, case, key_reuse):
+        junk, gamma, beta = REFERENCE_CASES[case]
+        dev = device_with_junk(case, junk)
+        p = make_params(n=n, gamma=gamma, beta=beta, omega_exp=0.8)
+        seed = 1000 * case + n
+        want = serialize_transcript(run_protocol_per_round(dev, p, seed, key_reuse))
+        assert serialize_transcript(run_protocol(dev, p, seed, key_reuse)) == want
+
+    @pytest.mark.parametrize("draw_block", [4, 5, 64])
+    def test_rounds_straddling_draw_blocks(self, monkeypatch, draw_block):
+        monkeypatch.setattr(protocol, "_DRAW_BLOCK", draw_block)
+        dev = device_with_junk(7, 0.3)
+        p = make_params(n=700, gamma=0.7, beta=0.4)
+        want = serialize_transcript(run_protocol_per_round(dev, p, 3))
+        assert serialize_transcript(run_protocol(dev, p, 3)) == want
+
+    def test_dead_device(self):
+        dev = QubitBlockDevice((), junk_weight=1.0, junk_equation_win=0.4)
+        p = make_params(n=500, beta=0.5)
+        want = serialize_transcript(run_protocol_per_round(dev, p, 2))
+        assert serialize_transcript(run_protocol(dev, p, 2)) == want
+
+
+class TestColumns:
+    def test_columns_are_int8_and_read_only(self):
+        tr = run_protocol(ideal_device(), make_params(n=100), seed=0)
+        for name in ("g", "t", "pi_hat", "m_hat", "w"):
+            col = getattr(tr, name)
+            assert col.dtype == np.int8 and col.shape == (100,)
+            with pytest.raises(ValueError):
+                col[0] = 0
+        assert set(tr.w[tr.g == 1].tolist()) == {-1}
+
+    def test_rounds_view(self):
+        tr = run_protocol(ideal_device(), make_params(n=100), seed=0)
+        rounds = tr.rounds
+        assert len(rounds) == 100
+        assert rounds[-1] == list(rounds)[99]
+        assert rounds[10:13] == [rounds[10], rounds[11], rounds[12]]
+        assert [r.index for r in rounds] == list(range(100))
+        with pytest.raises(IndexError):
+            rounds[100]
+        with pytest.raises(AttributeError):
+            tr.rounds = []
+
+    def test_round_record_has_slots(self):
+        r = gen_round(0)
+        assert not hasattr(r, "__dict__")
+
+    def test_from_rounds_requires_positions(self):
+        with pytest.raises(ValueError):
+            Transcript.from_rounds(make_params(n=2), 0, [gen_round(0), gen_round(2)])
+
+    def test_constructor_checks_record_rules(self):
+        with pytest.raises(ValueError):
+            # A generation round with an observed win bit.
+            Transcript(make_params(n=1), 0, ["k"], g=[1], t=[0], pi_hat=[0], m_hat=[-1], w=[1])
+        with pytest.raises(ValueError):
+            Transcript(make_params(n=1), 0, ["k"], g=[1], t=[0], pi_hat=[3], m_hat=[-1], w=[-1])
+        with pytest.raises(ValueError):
+            Transcript(make_params(n=2), 0, ["k"], g=[1, 1], t=[0], pi_hat=[0], m_hat=[-1], w=[-1])
+
+    def test_record_domains(self):
+        with pytest.raises(ValueError):
+            RoundRecord(0, "k", 0, 0, 3, BOT, 1)
+        with pytest.raises(ValueError):
+            RoundRecord(0, "k", 2, 0, 0, BOT, BOT)
+
+
+def _edit_line(text, k, old, new):
+    lines = text.splitlines()
+    assert old in lines[k]
+    lines[k] = lines[k].replace(old, new, 1)
+    return "\n".join(lines) + "\n"
+
+
+class TestParseRejectsUntrustworthy:
+    def test_round_index_not_its_position(self):
+        text = serialize_transcript(run_protocol(ideal_device(), make_params(n=5), seed=0))
+        assert parse_transcript(text).params.n == 5
+        with pytest.raises(ValueError):
+            parse_transcript(_edit_line(text, 3, "2,k00000002", "5,k00000002"))
+        lines = text.splitlines()
+        lines[2], lines[3] = lines[3], lines[2]
+        with pytest.raises(ValueError):
+            parse_transcript("\n".join(lines) + "\n")
+
+    def test_round_count_other_than_n(self):
+        text = serialize_transcript(run_protocol(ideal_device(), make_params(n=5), seed=0))
+        short = "".join(text.splitlines(keepends=True)[:-1])
+        with pytest.raises(ValueError):
+            parse_transcript(short)
+        with pytest.raises(ValueError):
+            parse_transcript(text + "5,k00000005,1,0,0,-,-\n")
+        # A run that stopped on an error, and so aborted, may hold fewer rounds.
+        lines = short.splitlines()
+        assert lines[0].endswith("aborted=1")
+        lines.insert(1, "#error device failure at round 4: boom")
+        tr = parse_transcript("\n".join(lines) + "\n")
+        assert len(tr.rounds) == 4 and tr.error.endswith("boom")
+
+    def test_abort_flag_recomputed(self):
+        dead = QubitBlockDevice((), junk_weight=1.0)
+        text = serialize_transcript(run_protocol(dead, make_params(), seed=0))
+        assert parse_transcript(text).aborted
+        forged = _edit_line(text, 0, "aborted=1", "aborted=0")
+        with pytest.raises(ValueError):
+            parse_transcript(forged)
+        honest = serialize_transcript(run_protocol(ideal_device(), make_params(), seed=0))
+        assert not parse_transcript(honest).aborted
+        with pytest.raises(ValueError):
+            parse_transcript(_edit_line(honest, 0, "aborted=0", "aborted=1"))
+
+    def test_error_line_requires_abort_flag(self):
+        dead = QubitBlockDevice((), junk_weight=1.0)
+        text = serialize_transcript(run_protocol(dead, make_params(), seed=0))
+        # An error line must not excuse a forged abort flag.
+        lines = _edit_line(text, 0, "aborted=1", "aborted=0").splitlines()
+        lines.insert(1, "#error x")
+        with pytest.raises(ValueError):
+            parse_transcript("\n".join(lines) + "\n")
+        lines[0] = lines[0].replace("aborted=0", "aborted=1")
+        assert parse_transcript("\n".join(lines) + "\n").error == "x"
+
+
+_FIELD_VALUES = st.tuples(
+    st.sampled_from([0, 1]),
+    st.sampled_from([BOT, 0, 1]),
+    st.sampled_from([BOT, 0, 1, 2]),
+    st.sampled_from([BOT, 0, 1]),
+    st.sampled_from([BOT, 0, 1]),
+)
+
+
+def _valid(fields):
+    try:
+        RoundRecord(0, "k", *fields)
+    except ValueError:
+        return False
+    return True
+
+
+_LINE_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","),
+    max_size=12,
+)
+
+
+class TestSerializationProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rounds=st.lists(st.tuples(_LINE_TEXT, _FIELD_VALUES.filter(_valid)), max_size=30),
+        error=st.text(
+            alphabet=st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=40
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_roundtrip_with_error_line(self, rounds, error, seed):
+        # A file with an error line must be flagged aborted.
+        records = [RoundRecord(i, key, *fields) for i, (key, fields) in enumerate(rounds)]
+        tr = Transcript.from_rounds(
+            make_params(n=max(len(records), 1)), seed, records, aborted=True, error=error
+        )
+        text = serialize_transcript(tr)
+        assert text.splitlines()[1] == f"#error {error}"
+        back = parse_transcript(text)
+        assert (back.params, back.seed, back.aborted, back.error) == (tr.params, seed, True, error)
+        assert back.rounds == records
+        assert serialize_transcript(back) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(rounds=st.lists(_FIELD_VALUES.filter(_valid), min_size=1, max_size=30))
+    def test_roundtrip_without_error(self, rounds):
+        records = [RoundRecord(i, f"k{i:08d}", *fields) for i, fields in enumerate(rounds)]
+        tr = Transcript.from_rounds(make_params(n=len(records)), 0, records)
+        tr.aborted = tr.test_win_count() < tr.abort_threshold
+        back = parse_transcript(serialize_transcript(tr))
+        assert back.rounds == records and back.aborted == tr.aborted
