@@ -150,6 +150,24 @@ class QubitBlockDevice:
         )
         return (u_outcome >= p_win[self._sectors(u_block)]).astype(np.int8)
 
+    # -- exact operator picture, shared by device_stats and the oracles -----
+
+    @cached_property
+    def operators(self):
+        """``device_operators(self)``, built once per device and read-only."""
+        rho_de, pi3, m2, dims = device_operators(self)
+        for op in (rho_de, *pi3, *m2):
+            op.setflags(write=False)
+        return rho_de, pi3, m2, dims
+
+    @cached_property
+    def device_marginal(self) -> np.ndarray:
+        """rho_D: the device's state with the side information E traced out."""
+        rho_de, _, _, dims = self.operators
+        marginal = quantum.partial_trace(rho_de, dims, traced=1)
+        marginal.setflags(write=False)
+        return marginal
+
 
 def ideal_device() -> QubitBlockDevice:
     """Single maximally incompatible block in the equation-winning state."""
@@ -206,34 +224,24 @@ def device_stats(dev: QubitBlockDevice) -> WinningStats:
     if omega_p <= _WEIGHT_TOL:
         # No support on the good span; the defect is vacuous.
         return WinningStats(omega_p, min(omega_m, 1.0), 0.0)
-    rho_de, pi3, m2, dims = device_operators(dev)
-    rho_d = quantum.partial_trace(rho_de, dims, traced=1)
+    _, pi3, m2, _ = dev.operators
     good = pi3[0] + pi3[1]
-    psi = (good @ rho_d @ good) / omega_p
+    psi = (good @ dev.device_marginal @ good) / omega_p
     mu = quantum.commutator_defect(pi3, m2, psi)
     return WinningStats(omega_p, min(omega_m, 1.0), mu)
-
-
-def _purified_with_povm(dev: QubitBlockDevice):
-    rho_de, pi3, m2, (dd, de) = device_operators(dev)
-    rho_pure = quantum.purify(rho_de)
-    # Purification lives on (D E) (x) F; regroup as D (x) (E F) for the
-    # measurement-on-D entropy.  Tensor order D, E, F is already correct.
-    dims = (dd, de * dd * de)
-    return rho_pure, pi3, m2, dims
 
 
 def exact_round_entropy(dev: QubitBlockDevice) -> float:
     """Exact conditional entropy of the preimage measurement outcome given
     all purifying side information."""
-    rho_pure, pi3, _, dims = _purified_with_povm(dev)
-    return quantum.conditional_measurement_entropy(rho_pure, pi3, dims)
+    _, pi3, _, _ = dev.operators
+    return quantum.purified_measurement_entropy(dev.device_marginal, pi3)
 
 
 def exact_equation_entropy(dev: QubitBlockDevice) -> float:
     """Same as exact_round_entropy for the equation measurement."""
-    rho_pure, _, m2, dims = _purified_with_povm(dev)
-    return quantum.conditional_measurement_entropy(rho_pure, m2, dims)
+    _, _, m2, _ = dev.operators
+    return quantum.purified_measurement_entropy(dev.device_marginal, m2)
 
 
 def random_device(

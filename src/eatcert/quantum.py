@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import binary_entropy
 
@@ -25,6 +24,7 @@ __all__ = [
     "von_neumann_entropy",
     "conditional_entropy",
     "conditional_measurement_entropy",
+    "purified_measurement_entropy",
     "purify",
     "trace_distance",
     "JordanBlock",
@@ -36,6 +36,9 @@ __all__ = [
     "random_pure_state",
     "random_density_matrix",
     "random_projector",
+    "random_ginibre",
+    "density_from_ginibre",
+    "projectors_from_ginibre",
 ]
 
 DIM_CAP = 64
@@ -80,27 +83,46 @@ def check_povm(elements: Sequence[np.ndarray], tol: float = _HERM_TOL) -> None:
 
 
 def partial_trace(rho: np.ndarray, dims: Tuple[int, int], traced: int) -> np.ndarray:
-    """Trace out one factor of a bipartite state; traced=0 removes A, 1 removes B."""
+    """Trace out one factor of a bipartite state; traced=0 removes A, 1 removes B.
+
+    ``rho`` may also be a stack of states (leading axes), traced one by one.
+    """
     da, db = dims
     rho = np.asarray(rho)
-    if rho.shape != (da * db, da * db):
+    if rho.shape[-2:] != (da * db, da * db):
         raise ValueError(f"shape {rho.shape} incompatible with dims {dims}")
-    r = rho.reshape(da, db, da, db)
+    r = rho.reshape(rho.shape[:-2] + (da, db, da, db))
     if traced == 0:
-        return np.einsum("ijik->jk", r)
+        return np.einsum("...ijik->...jk", r)
     if traced == 1:
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     raise ValueError("traced must be 0 or 1")
 
 
-def _entropy_of_eigenvalues(evals: np.ndarray) -> float:
+def _entropy_of_eigenvalues(evals: np.ndarray):
+    """-sum e log2 e over the eigenvalues above the cutoff: a float for one
+    spectrum, an array with one entropy per spectrum (last axis) otherwise."""
     evals = np.real(evals)
-    evals = evals[evals > _EIG_CUTOFF]
-    return float(-np.sum(evals * np.log2(evals)))
+    if evals.ndim == 1:
+        evals = evals[evals > _EIG_CUTOFF]
+        return float(-np.sum(evals * np.log2(evals)))
+    rows = evals.reshape(-1, evals.shape[-1])
+    full = np.all(rows > _EIG_CUTOFF, axis=1)
+    out = np.empty(len(rows))
+    kept = rows[full]
+    out[full] = -np.sum(kept * np.log2(kept), axis=1)
+    # Zeros in place of dropped eigenvalues would regroup numpy's summation
+    # of the rest, so such spectra are summed one at a time.
+    for i in np.flatnonzero(~full):
+        out[i] = _entropy_of_eigenvalues(rows[i])
+    return out.reshape(evals.shape[:-1])
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-tr(rho log2 rho) via the spectrum, skipping near-zero eigenvalues."""
+def von_neumann_entropy(rho: np.ndarray):
+    """-tr(rho log2 rho) via the spectrum, skipping near-zero eigenvalues.
+
+    A stack of states gives an array with one entropy per state.
+    """
     rho = np.asarray(rho)
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -_HERM_TOL:
@@ -108,8 +130,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return _entropy_of_eigenvalues(evals)
 
 
-def conditional_entropy(rho: np.ndarray, dims: Tuple[int, int]) -> float:
-    """H(A|B) = H(AB) - H(B) for a state on A (x) B."""
+def conditional_entropy(rho: np.ndarray, dims: Tuple[int, int]):
+    """H(A|B) = H(AB) - H(B) for a state (or a stack of states) on A (x) B."""
     rho_b = partial_trace(rho, dims, traced=0)
     return von_neumann_entropy(rho) - von_neumann_entropy(rho_b)
 
@@ -139,31 +161,44 @@ def conditional_measurement_entropy(
     return h_xb - h_b
 
 
+def purified_measurement_entropy(rho: np.ndarray, povm: Sequence[np.ndarray]) -> float:
+    """H(X|R) for the outcome X of measuring ``povm`` on rho, where R holds a
+    purification of rho.
+
+    The outcome-x block of the classical-quantum state on R has the nonzero
+    spectrum of rho^1/2 E_x rho^1/2, and R has the spectrum of rho, so
+    H(X|R) = S(sum_x |x><x| (x) rho^1/2 E_x rho^1/2) - S(rho), all on rho's
+    own space.  The elements E_x need not be projectors.
+    """
+    evals, vecs = np.linalg.eigh(np.asarray(rho))
+    if evals.min() < -_HERM_TOL:
+        raise ValueError(f"state has negative eigenvalue {evals.min()}")
+    # root root^dagger = rho, so root^dagger E root is unitarily equivalent
+    # to rho^1/2 E rho^1/2.
+    root = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    blocks = root.conj().T @ np.asarray(povm) @ root
+    return _entropy_of_eigenvalues(np.linalg.eigvalsh(blocks).ravel()) - (
+        _entropy_of_eigenvalues(evals)
+    )
+
+
 def purify(rho: np.ndarray) -> np.ndarray:
     """Rank-1 extension on D (x) E with E the same dimension as D.
 
     Sub-normalization is preserved: tracing out E reproduces the input.
+    Tests measure this state as the independent reference for
+    purified_measurement_entropy.
     """
-    rho = np.asarray(rho)
-    d = rho.shape[0]
-    evals, vecs = np.linalg.eigh(rho)
-    evals = np.clip(evals, 0.0, None)
-    vec = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if evals[i] > 0.0:
-            vec += math.sqrt(evals[i]) * np.kron(vecs[:, i], _basis_vec(d, i))
+    evals, vecs = np.linalg.eigh(np.asarray(rho))
+    vec = (vecs * np.sqrt(np.clip(evals, 0.0, None))).ravel()
     return np.outer(vec, vec.conj())
 
 
-def _basis_vec(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """Half the trace norm of rho - sigma; one value per pair of a stack."""
     diff = np.asarray(rho) - np.asarray(sigma)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return float(dist) if diff.ndim == 2 else dist
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +244,6 @@ class JordanBlocks:
         return g
 
 
-def _orthonormal_range(p: np.ndarray, of_one: bool) -> np.ndarray:
-    """Orthonormal basis (columns) of range(P) or range(1-P)."""
-    evals, vecs = np.linalg.eigh(p)
-    mask = evals > 0.5 if of_one else evals <= 0.5
-    return vecs[:, mask]
-
-
 def _snap_angle(theta: float) -> float:
     for target in (0.0, math.pi / 2.0, math.pi):
         if abs(theta - target) < _SNAP_TOL:
@@ -239,12 +267,15 @@ def jordan_decompose(p: np.ndarray, m: np.ndarray, tol: float = 1e-9) -> JordanB
     if p.shape != m.shape:
         raise ValueError("projectors must act on the same space")
     d = p.shape[0]
-    eye = np.eye(d)
+    one_minus_p = np.eye(d) - p
 
     blocks: List[JordanBlock] = []
     aligned = {(1, 1): [], (1, 0): [], (0, 0): [], (0, 1): []}
 
-    vp = _orthonormal_range(p, of_one=True)
+    # Orthonormal bases (columns) of range(P) and range(1-P).
+    p_evals, p_vecs = np.linalg.eigh(p)
+    vp = p_vecs[:, p_evals > 0.5]
+    vq = p_vecs[:, p_evals <= 0.5]
     used_w = []
     if vp.shape[1] > 0:
         comp = vp.conj().T @ m @ vp
@@ -257,14 +288,13 @@ def jordan_decompose(p: np.ndarray, m: np.ndarray, tol: float = 1e-9) -> JordanB
             elif lam > 1.0 - tol:
                 aligned[(1, 1)].append(v)
             else:
-                w = (eye - p) @ (m @ v)
+                w = one_minus_p @ (m @ v)
                 w = w / np.linalg.norm(w)
                 theta = _snap_angle(2.0 * math.acos(math.sqrt(lam)))
                 blocks.append(JordanBlock(np.column_stack([v, w]), theta))
                 used_w.append(w)
 
     # Directions in range(1-P) not consumed by a 2-dim block.
-    vq = _orthonormal_range(p, of_one=False)
     if vq.shape[1] > 0:
         if used_w:
             wmat = np.column_stack(used_w)
@@ -362,8 +392,31 @@ def commutator_defect(
 # ---------------------------------------------------------------------------
 
 
+def random_ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian array: all real parts are drawn, then all imaginary."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def density_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """G G^dagger / tr(G G^dagger), for one matrix G or a stack of them."""
+    rho = g @ np.swapaxes(g.conj(), -1, -2)
+    return rho / np.real(np.trace(rho, axis1=-2, axis2=-1))[..., None, None]
+
+
+def projectors_from_ginibre(g: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """For a stack of square G, the projector onto the first ranks[i] columns
+    of the Q factor of G[i]."""
+    q, _ = np.linalg.qr(g)
+    out = np.empty_like(q)
+    for rank in np.unique(ranks):
+        sel = ranks == rank
+        v = q[sel, :, :rank]
+        out[sel] = v @ np.swapaxes(v.conj(), -1, -2)
+    return out
+
+
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = random_ginibre(dim, rng)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
 
@@ -371,14 +424,9 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_density_matrix(
     dim: int, rng: np.random.Generator, rank: Optional[int] = None
 ) -> np.ndarray:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.real(np.trace(rho))
+    return density_from_ginibre(random_ginibre((dim, rank or dim), rng))
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    v = q[:, :rank]
-    return v @ v.conj().T
+    g = random_ginibre((1, dim, dim), rng)
+    return projectors_from_ginibre(g, np.array([rank]))[0]

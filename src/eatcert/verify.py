@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from . import quantum
 from .bound import (
-    WinningStats,
     bad_subspace_coefficient,
     entropy_bound_fixed_overlap,
     projection_continuity_penalty,
@@ -44,69 +43,160 @@ class SuiteReport:
 
 
 def _report(name: str, trials: int, worst: float, message: str = "") -> SuiteReport:
-    # Slacks often come out as numpy scalars; report a plain float.
-    return SuiteReport(name, trials, worst >= -_TOL, float(worst), message)
+    # Slacks often come out as numpy scalars; report a plain float and bool.
+    worst = float(worst)
+    return SuiteReport(name, trials, worst >= -_TOL, worst, message)
 
 
 def _vacuous(name: str) -> SuiteReport:
     return SuiteReport(name, 0, True, math.inf, "no trials requested; vacuous pass")
 
 
+# The jordan, good-subspace and continuity suites draw a chunk of trials
+# first, in the generator order of a trial-by-trial loop (no draw depends on
+# a computed result), then group the chunk by dimension and run its linear
+# algebra over the stacks.  numpy's stacked eigvalsh, qr and matmul repeat the
+# per-matrix LAPACK and BLAS calls, so the reports are those of the
+# trial-by-trial loop, bit for bit; tests/reference_suites.py holds that loop.
+# The chunk bounds the memory that drawn instances and stacks hold.
+_CHUNK = 250
+
+
+def _stacked_slacks(trials: int, seed: int, draw, check) -> list:
+    """Slacks in trial order.  ``draw(rng, k)`` draws trial k as a tuple
+    whose first item is its dimension key; ``check(chunk)`` returns one
+    slack per drawn trial, None for a skipped one."""
+    rng = np.random.default_rng(seed)
+    slacks = []
+    for start in range(0, trials, _CHUNK):
+        stop = min(trials, start + _CHUNK)
+        slacks += check([draw(rng, k) for k in range(start, stop)])
+    return slacks
+
+
+def _by_dimension(chunk) -> List[Tuple[object, np.ndarray]]:
+    """(key, indices) for each distinct dimension key, indices in trial order."""
+    groups: Dict[object, list] = {}
+    for i, drawn in enumerate(chunk):
+        groups.setdefault(drawn[0], []).append(i)
+    return [(key, np.array(idx)) for key, idx in groups.items()]
+
+
+def _worst(slacks) -> float:
+    """min over the slacks in trial order, skipped trials (None) left out."""
+    return min([math.inf] + [s for s in slacks if s is not None])
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _draw_projector_pair(dim: int, rng: np.random.Generator):
+    """The draws of random_projector(dim, rank, rng) for P and then for M:
+    (rank_p, g_p, rank_m, g_m)."""
+    rank_p = int(rng.integers(1, dim))
+    g_p = quantum.random_ginibre((dim, dim), rng)
+    rank_m = int(rng.integers(1, dim))
+    return rank_p, g_p, rank_m, quantum.random_ginibre((dim, dim), rng)
+
+
+def _projector_pairs(draws) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacks of P and of M from same-dimension projector-pair draws."""
+    ranks = np.array([(d[0], d[2]) for d in draws])
+    g = np.array([(d[1], d[3]) for d in draws])
+    n, _, dim, _ = g.shape
+    proj = quantum.projectors_from_ginibre(g.reshape(2 * n, dim, dim), ranks.ravel())
+    proj = proj.reshape(g.shape)
+    return proj[:, 0], proj[:, 1]
+
+
+def _jordan_error(p: np.ndarray, m: np.ndarray, pinched: np.ndarray) -> float:
+    """Worst reconstruction or block-spectrum error of one projector pair."""
+    jb = quantum.jordan_decompose(p, m)
+    # Reconstruct both projectors through the block resolution.
+    resolution = np.array([b.projector() for b in jb.blocks] + [jb.residual_projector()])
+    err = np.max(np.abs(resolution.sum(axis=0) - np.eye(len(p))))
+    for op in (p, m):
+        rebuilt = (resolution @ op @ resolution).sum(axis=0)
+        err = max(err, np.max(np.abs(rebuilt - op)))
+    # Spectrum of P M P + (1-P) M (1-P) inside each 2-dim block.
+    if jb.blocks:
+        basis = np.array([b.basis for b in jb.blocks])
+        sub = _dagger(basis) @ pinched @ basis
+        evals = np.sort(np.linalg.eigvalsh((sub + _dagger(sub)) / 2.0), axis=-1)
+        c2 = np.array([math.cos(b.angle / 2.0) ** 2 for b in jb.blocks])
+        expected = np.sort(np.column_stack([c2, 1.0 - c2]), axis=-1)
+        err = max(err, float(np.max(np.abs(evals - expected))))
+    return err
+
+
+def _draw_jordan(rng: np.random.Generator, k: int):
+    dim = int(rng.integers(2, 13))
+    return dim, _draw_projector_pair(dim, rng)
+
+
+def _check_jordan(chunk) -> list:
+    slacks = [None] * len(chunk)
+    for dim, idx in _by_dimension(chunk):
+        ps, ms = _projector_pairs([chunk[i][1] for i in idx])
+        qs = np.eye(dim) - ps
+        pinched = ps @ ms @ ps + qs @ ms @ qs
+        for i, p, m, pin in zip(idx, ps, ms, pinched):
+            slacks[i] = _TOL - _jordan_error(p, m, pin)
+    return slacks
+
+
 def suite_jordan(trials: int, seed: int) -> SuiteReport:
     """Block reconstruction and the per-block spectrum identity."""
     if trials == 0:
         return _vacuous("jordan")
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        dim = int(rng.integers(2, 13))
-        p = quantum.random_projector(dim, int(rng.integers(1, dim)), rng)
-        m = quantum.random_projector(dim, int(rng.integers(1, dim)), rng)
-        jb = quantum.jordan_decompose(p, m)
-        # Reconstruct both projectors through the block resolution.
-        resolution = [b.projector() for b in jb.blocks]
-        resolution.append(jb.residual_projector())
-        total = sum(resolution)
-        err = np.max(np.abs(total - np.eye(dim)))
-        for op in (p, m):
-            rebuilt = sum(b @ op @ b for b in resolution)
-            err = max(err, np.max(np.abs(rebuilt - op)))
-        # Spectrum of P M P + (1-P) M (1-P) inside each 2-dim block.
-        pinched = p @ m @ p + (np.eye(dim) - p) @ m @ (np.eye(dim) - p)
-        for b in jb.blocks:
-            sub = b.basis.conj().T @ pinched @ b.basis
-            evals = np.sort(np.linalg.eigvalsh((sub + sub.conj().T) / 2.0))
-            c2 = math.cos(b.angle / 2.0) ** 2
-            expected = np.sort([c2, 1.0 - c2])
-            err = max(err, float(np.max(np.abs(evals - expected))))
-        worst = min(worst, _TOL - err)
-    return _report("jordan", trials, worst, "slack = 1e-9 - worst error")
+    slacks = _stacked_slacks(trials, seed, _draw_jordan, _check_jordan)
+    return _report("jordan", trials, _worst(slacks), "slack = 1e-9 - worst error")
+
+
+_GOOD_SUBSPACE_C = [0.55 + 0.05 * i for i in range(9)]
+
+
+def _draw_good_subspace(rng: np.random.Generator, k: int):
+    """(dim, projector-pair draws, Ginibre draw of phi, overlap threshold c)."""
+    dim = int(rng.integers(2, 9))
+    pair = _draw_projector_pair(dim, rng)
+    g_phi = quantum.random_ginibre((dim, dim), rng)
+    return dim, pair, g_phi, _GOOD_SUBSPACE_C[k % len(_GOOD_SUBSPACE_C)]
+
+
+def _check_good_subspace(chunk) -> list:
+    slacks = [None] * len(chunk)
+    for dim, idx in _by_dimension(chunk):
+        ps, ms = _projector_pairs([chunk[i][1] for i in idx])
+        phis = quantum.density_from_ginibre(np.array([chunk[i][2] for i in idx]))
+        qs = np.eye(dim) - ps
+        pinched = np.real(_trace(ms @ ps @ phis @ ps) + _trace(ms @ qs @ phis @ qs))
+        mu = np.abs(0.5 - pinched)
+        omega = np.real(_trace(ms @ phis))
+        cs = [chunk[i][3] for i in idx]
+        gammas = np.array(
+            [quantum.good_subspace_projector(p, m, c) for p, m, c in zip(ps, ms, cs)]
+        )
+        lhs = np.real(_trace((np.eye(dim) - gammas) @ phis))
+        for j, i in enumerate(idx):
+            rhs = bad_subspace_coefficient(cs[j]) * (
+                mu[j] / 5.0 + math.sqrt(max(0.0, 1.0 - omega[j]))
+            )
+            slacks[i] = rhs - lhs[j]
+    return slacks
 
 
 def suite_good_subspace(trials: int, seed: int) -> SuiteReport:
     """Trace bound on the state weight outside the good subspace."""
     if trials == 0:
         return _vacuous("good-subspace")
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    c_values = [0.55 + 0.05 * i for i in range(9)]
-    for k in range(trials):
-        dim = int(rng.integers(2, 9))
-        p = quantum.random_projector(dim, int(rng.integers(1, dim)), rng)
-        m = quantum.random_projector(dim, int(rng.integers(1, dim)), rng)
-        phi = quantum.random_density_matrix(dim, rng)
-        q = np.eye(dim) - p
-        pinched = np.real(np.trace(m @ p @ phi @ p) + np.trace(m @ q @ phi @ q))
-        mu = abs(0.5 - pinched)
-        omega = float(np.real(np.trace(m @ phi)))
-        c = c_values[k % len(c_values)]
-        gamma_proj = quantum.good_subspace_projector(p, m, c)
-        lhs = float(np.real(np.trace((np.eye(dim) - gamma_proj) @ phi)))
-        rhs = bad_subspace_coefficient(c) * (
-            mu / 5.0 + math.sqrt(max(0.0, 1.0 - omega))
-        )
-        worst = min(worst, rhs - lhs)
-    return _report("good-subspace", trials, worst, "slack = bound - trace")
+    slacks = _stacked_slacks(trials, seed, _draw_good_subspace, _check_good_subspace)
+    return _report("good-subspace", trials, _worst(slacks), "slack = bound - trace")
 
 
 def suite_bound_vs_oracle(trials: int, seed: int) -> SuiteReport:
@@ -151,32 +241,43 @@ def suite_tradeoff(trials: int, seed: int) -> SuiteReport:
     return _report("tradeoff", trials, worst, "slack = exact - tradeoff value")
 
 
+def _draw_continuity(rng: np.random.Generator, k: int):
+    """((da, db), Ginibre draws of rho and sigma, mixing weight lambda)."""
+    da = int(rng.integers(2, 4))
+    db = int(rng.integers(2, 4))
+    g_rho = quantum.random_ginibre((da * db, da * db), rng)
+    g_sigma = quantum.random_ginibre((da * db, da * db), rng)
+    return (da, db), g_rho, g_sigma, float(rng.uniform(0.0, 1.0))
+
+
+def _check_continuity(chunk) -> list:
+    slacks = [None] * len(chunk)
+    for (da, db), idx in _by_dimension(chunk):
+        rho = quantum.density_from_ginibre(np.array([chunk[i][1] for i in idx]))
+        sigma = quantum.density_from_ginibre(np.array([chunk[i][2] for i in idx]))
+        # Pull sigma toward rho so small distances get exercised too.
+        lam = np.array([chunk[i][3] for i in idx])[:, None, None]
+        sigma = lam * rho + (1.0 - lam) * sigma
+        eps = quantum.trace_distance(rho, sigma)
+        kept = ~(eps >= 1.0)
+        if not kept.any():
+            continue
+        gap = np.abs(
+            quantum.conditional_entropy(rho[kept], (da, db))
+            - quantum.conditional_entropy(sigma[kept], (da, db))
+        )
+        for i, e, g in zip(idx[kept], eps[kept], gap):
+            allowed = e * math.log2(da) + (1.0 + e) * binary_entropy(e / (1.0 + e))
+            slacks[i] = allowed - g
+    return slacks
+
+
 def suite_continuity(trials: int, seed: int) -> SuiteReport:
     """Conditional-entropy continuity in the trace distance."""
     if trials == 0:
         return _vacuous("continuity")
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        da = int(rng.integers(2, 4))
-        db = int(rng.integers(2, 4))
-        rho = quantum.random_density_matrix(da * db, rng)
-        sigma = quantum.random_density_matrix(da * db, rng)
-        # Pull sigma toward rho so small distances get exercised too.
-        lam = float(rng.uniform(0.0, 1.0))
-        sigma = lam * rho + (1.0 - lam) * sigma
-        eps = quantum.trace_distance(rho, sigma)
-        if eps >= 1.0:
-            continue
-        gap = abs(
-            quantum.conditional_entropy(rho, (da, db))
-            - quantum.conditional_entropy(sigma, (da, db))
-        )
-        allowed = eps * math.log2(da) + (1.0 + eps) * binary_entropy(
-            eps / (1.0 + eps)
-        )
-        worst = min(worst, allowed - gap)
-    return _report("continuity", trials, worst, "slack = allowance - gap")
+    slacks = _stacked_slacks(trials, seed, _draw_continuity, _check_continuity)
+    return _report("continuity", trials, _worst(slacks), "slack = allowance - gap")
 
 
 SUITES: Dict[str, Callable[[int, int], SuiteReport]] = {

@@ -21,6 +21,7 @@ from eatcert.devices import (
 from eatcert.eat import EatParams
 from eatcert.protocol import run_protocol, serialize_transcript
 from reference_rounds import run_protocol_per_round
+from reference_suites import exact_equation_entropy_purified, exact_round_entropy_purified
 
 
 def pi0_device():
@@ -116,6 +117,74 @@ class TestExactEntropy:
                 h_xb = float(-np.sum(evals * np.log2(evals)))
                 h_b = quantum.von_neumann_entropy(total)
                 assert expect == pytest.approx(h_xb - h_b, abs=1e-9)
+
+
+class TestEntropiesAgainstPurification:
+    """The exact entropies on rho_D against purify + the measurement-on-D
+    conditional entropy on the 196-dimensional purified state."""
+
+    @staticmethod
+    def assert_match(dev):
+        assert exact_round_entropy(dev) == pytest.approx(
+            exact_round_entropy_purified(dev), abs=1e-12
+        )
+        assert exact_equation_entropy(dev) == pytest.approx(
+            exact_equation_entropy_purified(dev), abs=1e-12
+        )
+
+    def test_random_devices(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            self.assert_match(random_device(rng))
+
+    def test_no_junk(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            dev = random_device(rng, max_junk=0.0)
+            assert dev.junk_weight == 0.0
+            self.assert_match(dev)
+
+    @pytest.mark.parametrize("win", [0.0, 1.0])
+    def test_junk_equation_win_at_the_ends(self, win):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            dev = random_device(rng)
+            self.assert_match(QubitBlockDevice(dev.blocks, dev.junk_weight, win))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rank_deficient_block_states(self, rank):
+        rng = np.random.default_rng(11 + rank)
+        for _ in range(10):
+            blocks = tuple(
+                DeviceBlock(w, float(rng.uniform(0.0, math.pi / 2)),
+                            quantum.random_density_matrix(4, rng, rank=rank))
+                for w in (0.5, 0.3)
+            )
+            self.assert_match(QubitBlockDevice(blocks, 0.2, float(rng.uniform())))
+
+    @pytest.mark.parametrize("token", ["bell", "m0", "pi0"])
+    @pytest.mark.parametrize("angle", [0.0, 0.4, math.pi / 2])
+    def test_named_states(self, token, angle):
+        state = _named_state(token, angle)
+        self.assert_match(QubitBlockDevice((DeviceBlock(1.0, angle, state),)))
+        mixed = (DeviceBlock(0.6, angle, state), DeviceBlock(0.3, 0.9, _named_state("m0", 0.9)))
+        self.assert_match(QubitBlockDevice(mixed, junk_weight=0.1, junk_equation_win=0.4))
+
+    def test_all_junk(self):
+        for win in (0.0, 0.25, 1.0):
+            dev = QubitBlockDevice((), junk_weight=1.0, junk_equation_win=win)
+            self.assert_match(dev)
+            assert exact_round_entropy(dev) == 0.0
+
+    def test_operators_built_once_and_read_only(self):
+        dev = random_device(np.random.default_rng(12))
+        assert dev.operators is dev.operators
+        rho_de, pi3, m2, _ = dev.operators
+        for op in (rho_de, *pi3, *m2, dev.device_marginal):
+            assert not op.flags.writeable
+        assert np.array_equal(
+            dev.device_marginal, quantum.partial_trace(rho_de, (len(pi3[0]), 2), traced=1)
+        )
 
 
 def sampled(dev, n, gamma, beta, seed):

@@ -154,6 +154,87 @@ class TestPurify:
         assert np.max(np.abs(marg - rho)) <= 1e-10
 
 
+class TestPurifiedMeasurementEntropy:
+    """S(sum_x rho^1/2 E_x rho^1/2) - S(rho) against the entropy of the
+    measured purification."""
+
+    def test_against_purified_state(self):
+        rng = RNG(7)
+        for _ in range(50):
+            d = int(rng.integers(1, 6))
+            rho = quantum.random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+            # A three-outcome POVM whose elements are not projectors.
+            a = quantum.random_density_matrix(d, rng) * 0.6
+            b = quantum.random_density_matrix(d, rng) * 0.4
+            povm = [a, b, np.eye(d) - a - b]
+            want = quantum.conditional_measurement_entropy(quantum.purify(rho), povm, (d, d))
+            assert quantum.purified_measurement_entropy(rho, povm) == pytest.approx(want, abs=1e-12)
+
+    def test_bell_marginal_and_pure_state(self):
+        comp = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+        assert quantum.purified_measurement_entropy(np.eye(2) / 2, comp) == pytest.approx(0.0, abs=1e-12)
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        assert quantum.purified_measurement_entropy(plus, comp) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rejects_negative_state(self):
+        with pytest.raises(ValueError):
+            quantum.purified_measurement_entropy(np.diag([1.1, -0.1]).astype(complex), [np.eye(2)])
+
+
+class TestStacks:
+    """Stacked calls give the bits of one call per matrix."""
+
+    def states(self, d, n=40, seed=0):
+        rng = RNG(seed)
+        full = [quantum.random_density_matrix(d, rng) for _ in range(n)]
+        deficient = [quantum.random_density_matrix(d, rng, rank=max(1, d - 2)) for _ in range(n)]
+        return np.array(full + deficient)
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 9, 12])
+    def test_entropy_and_trace_distance(self, d):
+        rho = self.states(d)
+        sigma = rho[::-1]
+        ent = quantum.von_neumann_entropy(rho)
+        dist = quantum.trace_distance(rho, sigma)
+        assert ent.shape == dist.shape == (len(rho),)
+        for i in range(len(rho)):
+            assert ent[i] == quantum.von_neumann_entropy(rho[i])
+            assert dist[i] == quantum.trace_distance(rho[i], sigma[i])
+
+    def test_entropy_stack_rejects_negative_state(self):
+        rho = self.states(3, n=2)
+        rho[1] = np.diag([1.1, 0.0, -0.1])
+        with pytest.raises(ValueError):
+            quantum.von_neumann_entropy(rho)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    def test_partial_and_conditional(self, dims):
+        rho = self.states(dims[0] * dims[1])
+        cond = quantum.conditional_entropy(rho, dims)
+        for traced in (0, 1):
+            stacked = quantum.partial_trace(rho, dims, traced)
+            for i in range(len(rho)):
+                assert np.array_equal(stacked[i], quantum.partial_trace(rho[i], dims, traced))
+        for i in range(len(rho)):
+            assert cond[i] == quantum.conditional_entropy(rho[i], dims)
+
+    @pytest.mark.parametrize("d", [2, 5, 12])
+    def test_ginibre_constructors(self, d):
+        rng = RNG(d)
+        g = np.array([quantum.random_ginibre((d, d), rng) for _ in range(30)])
+        ranks = rng.integers(1, d, size=30) if d > 2 else np.ones(30, dtype=int)
+        proj = quantum.projectors_from_ginibre(g, ranks)
+        rho = quantum.density_from_ginibre(g)
+        for i in range(30):
+            quantum.check_projector(proj[i])
+            assert np.real(np.trace(proj[i])) == pytest.approx(ranks[i])
+            q, _ = np.linalg.qr(g[i])
+            v = q[:, :ranks[i]]
+            assert np.array_equal(proj[i], v @ v.conj().T)
+            single = g[i] @ g[i].conj().T
+            assert np.array_equal(rho[i], single / np.real(np.trace(single)))
+
+
 class TestJordanDecompose:
     def test_identical_projectors(self):
         p = np.diag([1.0, 0.0]).astype(complex)
