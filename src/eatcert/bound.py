@@ -79,13 +79,10 @@ class BoundConfig:
     # Open left endpoint of the overlap domain handled by a small offset.
     c_domain: Interval = field(default_factory=lambda: Interval(0.5 + 1e-6, 1.0))
     optimizer: OptimizerConfig = DEFAULT_OPTIMIZER
-    xi_slack: float = 0.0
 
     def __post_init__(self):
         if self.c_domain.lo <= 0.5 or self.c_domain.hi > 1.0:
             raise ValueError("overlap domain must sit inside (1/2, 1]")
-        if self.xi_slack < 0.0:
-            raise ValueError("xi_slack must be non-negative")
 
 
 DEFAULT_BOUND_CONFIG = BoundConfig()
@@ -152,19 +149,19 @@ def projection_continuity_penalty(omega_p: float) -> float:
 
 def _entropy_bound_pure(stats: WinningStats, cfg: BoundConfig) -> float:
     _, best = maximize_scalar(_fixed_overlap_curve(stats), cfg.c_domain, cfg.optimizer)
-    return max(0.0, best - projection_continuity_penalty(stats.preimage_rate) - cfg.xi_slack)
+    return max(0.0, best - projection_continuity_penalty(stats.preimage_rate))
 
 
 def entropy_bound(stats: WinningStats, cfg: BoundConfig = DEFAULT_BOUND_CONFIG) -> float:
     """Entropy lower bound from both winning rates: maximum over the overlap
-    threshold of the uncertainty bound, minus the continuity penalty and the
-    configured slack, clamped at zero."""
+    threshold of the uncertainty bound, minus the continuity penalty, clamped
+    at zero."""
     if _kernels is not None:
         return _kernels.two_var_bound(
             stats.preimage_rate,
             stats.equation_rate,
             stats.defect,
-            cfg.xi_slack,
+            0.0,  # the kernels' slack argument
             cfg.c_domain.lo,
             cfg.c_domain.hi,
             cfg.optimizer.grid_points,
@@ -209,7 +206,7 @@ def entropy_bound_combined(
         return _kernels.combined_bound(
             omega,
             beta,
-            cfg.xi_slack,
+            0.0,  # the kernels' slack argument
             cfg.c_domain.lo,
             cfg.c_domain.hi,
             cfg.optimizer.grid_points,

@@ -12,10 +12,10 @@ import math
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from .bound import BoundConfig
 from .devices import parse_device
 from .eat import (
-    DEFAULT_RATE_SEARCH,
+    BETA_GRID,
+    CUTOFF_GRID,
     RATE_BOUND_CONFIG,
     EatParams,
     TradeoffCurve,
@@ -122,27 +122,33 @@ def cmd_bound2d(args) -> int:
     return EXIT_OK
 
 
+def _parse_n(token: str) -> float:
+    """A round count for `rate`: a whole number >= 1, or anything float()
+    reads as +inf ('inf', 'Infinity', '1e400')."""
+    token = token.strip()
+    try:
+        n = float(token)
+    except ValueError:
+        raise UsageError(f"non-numeric round count {token!r}") from None
+    if n == math.inf:
+        return n
+    if not (math.isfinite(n) and n >= 1.0 and n == int(n)):
+        raise UsageError(f"round count {token!r} must be 'inf' or a whole number >= 1")
+    return n
+
+
 def cmd_rate(args) -> int:
     omegas = _parse_grid(args.omega_grid)
-    n_values = []
-    for tok in args.n.split(","):
-        tok = tok.strip()
-        n_values.append(math.inf if tok == "inf" else float(tok))
-    search = DEFAULT_RATE_SEARCH
+    n_values = [_parse_n(tok) for tok in args.n.split(",")]
     # One curve per beta serves every cutoff and the infinite-n rows, so each
     # combined bound is computed once per request.  The curves live only as
     # long as this request.
-    curves = {
-        beta: TradeoffCurve(beta, args.gamma, search.bound_config)
-        for beta in search.beta_grid
-    }
+    curves = {beta: TradeoffCurve(beta, args.gamma) for beta in BETA_GRID}
     # Tradeoff functions are shared across omega and n; build them once.
     tfs = [
-        TradeoffFunction(
-            beta, args.gamma, omega_0, search.bound_config, curve=curves[beta]
-        )
-        for beta in search.beta_grid
-        for omega_0 in search.omega0_grid
+        TradeoffFunction(curves[beta], omega_0)
+        for beta in BETA_GRID
+        for omega_0 in CUTOFF_GRID
     ]
     rows = []
     for n in n_values:
@@ -209,9 +215,8 @@ def cmd_simulate(args) -> int:
     if transcript.aborted:
         summary += " certified_entropy=0.0 generation_rounds=0"
     else:
-        tf = TradeoffFunction(
-            params.beta, params.gamma, omega_0, RATE_BOUND_CONFIG, params.xi_slack
-        )
+        curve = TradeoffCurve(params.beta, params.gamma, params.xi_slack)
+        tf = TradeoffFunction(curve, omega_0)
         entropy, gen_count = certify(transcript, tf)
         summary += f" certified_entropy={entropy!r} generation_rounds={gen_count}"
     print(summary)

@@ -248,7 +248,6 @@ def random_device(
     rng: np.random.Generator,
     max_blocks: int = 3,
     max_junk: float = 0.3,
-    allow_mixed: bool = True,
 ) -> QubitBlockDevice:
     nb = int(rng.integers(1, max_blocks + 1))
     junk = float(rng.uniform(0.0, max_junk))
@@ -257,7 +256,7 @@ def random_device(
     blocks = []
     for j in range(nb):
         angle = float(rng.uniform(0.0, math.pi / 2.0))
-        if allow_mixed and rng.random() < 0.5:
+        if rng.random() < 0.5:
             state = quantum.random_density_matrix(4, rng, rank=int(rng.integers(1, 5)))
         else:
             state = quantum.random_pure_state(4, rng)

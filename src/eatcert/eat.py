@@ -10,10 +10,10 @@ fixed costs from isolating the generation-round outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, Tuple
 
-from .bound import BoundConfig, DEFAULT_BOUND_CONFIG, entropy_bound_combined
+from .bound import BoundConfig, entropy_bound_combined
 from .numerics import OptimizerConfig
 
 __all__ = [
@@ -28,8 +28,8 @@ __all__ = [
     "certified_min_entropy",
     "accumulation_rate",
     "asymptotic_rate",
-    "RateSearchConfig",
-    "DEFAULT_RATE_SEARCH",
+    "BETA_GRID",
+    "CUTOFF_GRID",
     "optimize_rate",
 ]
 
@@ -47,6 +47,16 @@ _SLOPE_STEP = 1e-2
 # optimizer keeps them fast while staying deterministic.
 RATE_OPTIMIZER = OptimizerConfig(grid_points=301, refine_iterations=40, tolerance=1e-9)
 RATE_BOUND_CONFIG = BoundConfig(optimizer=RATE_OPTIMIZER)
+
+# The mixing ratios and tradeoff cutoffs that rate searches try.  The curve is
+# zero except extremely close to 1, so the cutoffs concentrate there; 1.0
+# itself uses the un-truncated curve.
+BETA_GRID = (0.01, 0.02, 0.045, 0.09, 0.15)
+CUTOFF_GRID = (0.9, 0.99, 1.0 - 1e-13, 1.0)
+
+# Largest gap tradeoff_value accepts between a distribution's test fraction
+# and the tradeoff function's gamma.
+_GAMMA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,33 +96,27 @@ class EatParams:
 
 class TradeoffCurve:
     """The un-truncated per-round rate (entropy_bound_combined(omega) - xi)
-    * (1 - beta gamma), each value computed once per instance.
+    * (1 - beta gamma) under RATE_BOUND_CONFIG, each value computed once per
+    instance.
 
     Tradeoff functions that differ only in their cutoff can share one curve.
     The stored values live as long as the instance: share it within one
     computation, not across independent requests.
     """
 
-    def __init__(
-        self,
-        beta: float,
-        gamma: float,
-        cfg: BoundConfig = DEFAULT_BOUND_CONFIG,
-        xi_slack: float = 0.0,
-    ):
+    def __init__(self, beta: float, gamma: float, xi_slack: float = 0.0):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta outside (0, 1)")
         if not 0.0 < gamma <= 1.0:
             raise ValueError("gamma outside (0, 1]")
         self.beta = beta
         self.gamma = gamma
-        self.cfg = cfg
         self.xi_slack = xi_slack
         self._values: Dict[float, float] = {}
 
     def __call__(self, omega: float) -> float:
         if omega not in self._values:
-            g = entropy_bound_combined(omega, self.beta, self.cfg)
+            g = entropy_bound_combined(omega, self.beta, RATE_BOUND_CONFIG)
             self._values[omega] = (g - self.xi_slack) * (
                 1.0 - self.beta * self.gamma
             )
@@ -125,35 +129,14 @@ class TradeoffFunction:
     The underlying curve is (entropy_bound_combined(omega) - xi) * (1 - beta
     gamma); above the cutoff the curve is replaced by its tangent so that the
     slope stays bounded (the curve itself steepens without limit near 1).
-    A curve built for the same beta, gamma, cfg and xi_slack may be passed in
-    to share its values with other cutoffs.
+    Tradeoff functions built on one curve share its values.
     """
 
-    def __init__(
-        self,
-        beta: float,
-        gamma: float,
-        omega_0: float,
-        cfg: BoundConfig = DEFAULT_BOUND_CONFIG,
-        xi_slack: float = 0.0,
-        curve: Optional[TradeoffCurve] = None,
-    ):
-        if curve is None:
-            curve = TradeoffCurve(beta, gamma, cfg, xi_slack)
-        elif (curve.beta, curve.gamma, curve.cfg, curve.xi_slack) != (
-            beta,
-            gamma,
-            cfg,
-            xi_slack,
-        ):
-            raise ValueError("curve was built for other parameters")
+    def __init__(self, curve: TradeoffCurve, omega_0: float):
         if not 0.5 < omega_0 <= 1.0:
             raise ValueError("cutoff outside (1/2, 1]")
-        self.beta = beta
-        self.gamma = gamma
+        self.gamma = curve.gamma
         self.omega_0 = omega_0
-        self.cfg = cfg
-        self.xi_slack = xi_slack
         # The un-truncated curve, called as self.base(omega).
         self.base = curve
         self.cutoff_value = self.base(omega_0)
@@ -177,11 +160,7 @@ class TradeoffFunction:
         return abs(self.slope) / self.gamma
 
 
-def tradeoff_value(
-    p: Tuple[float, float, float],
-    tf: TradeoffFunction,
-    consistency_tol: float = 1e-6,
-) -> float:
+def tradeoff_value(p: Tuple[float, float, float], tf: TradeoffFunction) -> float:
     """Evaluate the tradeoff function at a distribution (p_bot, p_0, p_1)
     over the test-outcome alphabet."""
     p_bot, p_zero, p_one = p
@@ -190,7 +169,7 @@ def tradeoff_value(
     test_fraction = 1.0 - p_bot
     if test_fraction <= 0.0:
         raise ValueError("distribution has no test rounds; frequency undefined")
-    if abs(test_fraction - tf.gamma) > consistency_tol:
+    if abs(test_fraction - tf.gamma) > _GAMMA_TOL:
         raise ValueError(
             f"test fraction {test_fraction} inconsistent with gamma {tf.gamma}"
         )
@@ -215,40 +194,33 @@ def second_order_coefficient(
     )
 
 
-def certified_min_entropy(
-    params: EatParams,
-    tf: TradeoffFunction,
-    omega_threshold: Optional[float] = None,
-    literal_chain_rule: bool = False,
-) -> float:
+def certified_min_entropy(params: EatParams, tf: TradeoffFunction) -> float:
     """Certified smooth min-entropy of the generation-round outputs after a
-    non-aborting run.
+    non-aborting run, taken at the abort rule's threshold params.threshold.
 
     The bound isolates the generation outputs by subtracting the worst-case
     test-round contribution (one bit per test round, i.e. the constant gamma
-    per round) and pays fixed smoothing costs.  The chain-rule term is
-    subtracted as a penalty by default; literal_chain_rule adds it with the
-    opposite sign instead (see the decisions ledger).
+    per round) and pays fixed smoothing costs and a chain-rule penalty.
     """
-    if omega_threshold is None:
-        omega_threshold = params.threshold
-    if not 0.5 <= omega_threshold <= 1.0:
+    # EatParams keeps omega_exp <= 1 and delta_est > 0, so the threshold is
+    # never above 1.
+    if params.threshold < 0.5:
         raise ValueError(
-            f"winning threshold {omega_threshold} outside the certifiable "
+            f"winning threshold {params.threshold} outside the certifiable "
             "range [1/2, 1]"
         )
     eps4 = params.eps_s / 4.0
     mu_min = second_order_coefficient(
         OUTCOME_ALPHABET_SIZE, math.ceil(tf.gradient_sup), eps4, params.p_omega
     )
-    rate = tf.value(omega_threshold) - params.xi_slack - params.gamma
+    rate = tf.value(params.threshold) - params.xi_slack - params.gamma
     total = params.n * rate - mu_min * math.sqrt(params.n)
     total -= 2.0 * math.log2(7.0) * math.sqrt(
         1.0 - 2.0 * math.log2(eps4 * params.p_omega)
     )
     chain = 3.0 * math.log2(1.0 - math.sqrt(1.0 - eps4 * eps4))
     # chain is negative; adding it subtracts a penalty.
-    total += chain if not literal_chain_rule else -chain
+    total += chain
     return max(0.0, total)
 
 
@@ -279,41 +251,19 @@ def asymptotic_rate(omega: float, curves: Iterable[TradeoffCurve]) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class RateSearchConfig:
-    beta_grid: Tuple[float, ...] = (0.01, 0.02, 0.045, 0.09, 0.15)
-    # The curve is zero except extremely close to 1, so the cutoff grid
-    # concentrates there; 1.0 itself uses the un-truncated curve.
-    omega0_grid: Tuple[float, ...] = (0.9, 0.99, 1.0 - 1e-13, 1.0)
-    bound_config: BoundConfig = field(default_factory=lambda: RATE_BOUND_CONFIG)
-
-
-DEFAULT_RATE_SEARCH = RateSearchConfig()
-
-
-def optimize_rate(
-    params: EatParams,
-    search: RateSearchConfig = DEFAULT_RATE_SEARCH,
-) -> Tuple[float, float, float]:
-    """Grid search over beta and the tradeoff cutoff maximizing the certified
-    entropy per round.  Deterministic: ties keep the earlier grid point."""
-    best = (search.beta_grid[0], search.omega0_grid[0], 0.0)
-    threshold = params.omega_exp - params.delta_est / params.gamma
-    if not 0.5 <= threshold <= 1.0:
+def optimize_rate(params: EatParams) -> Tuple[float, float, float]:
+    """Search BETA_GRID x CUTOFF_GRID for the beta and tradeoff cutoff that
+    maximize the certified entropy per round; returns (beta, cutoff, rate).
+    Deterministic: ties keep the earlier grid point."""
+    best = (BETA_GRID[0], CUTOFF_GRID[0], 0.0)
+    if params.threshold < 0.5:
         return best
-    for beta in search.beta_grid:
+    for beta in BETA_GRID:
         # The cutoffs of one beta share its curve.
-        curve = TradeoffCurve(beta, params.gamma, search.bound_config, params.xi_slack)
-        for omega_0 in search.omega0_grid:
-            tf = TradeoffFunction(
-                beta,
-                params.gamma,
-                omega_0,
-                search.bound_config,
-                params.xi_slack,
-                curve=curve,
-            )
-            trial = replace(params, beta=beta)
+        curve = TradeoffCurve(beta, params.gamma, params.xi_slack)
+        trial = replace(params, beta=beta)
+        for omega_0 in CUTOFF_GRID:
+            tf = TradeoffFunction(curve, omega_0)
             rate = certified_min_entropy(trial, tf) / params.n
             if rate > best[2]:
                 best = (beta, omega_0, rate)

@@ -19,7 +19,6 @@ __all__ = [
     "clamp01",
     "maximize_scalar",
     "minimize_scalar",
-    "finite_difference",
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -105,30 +104,37 @@ def _golden_refine(f, a, b, iters, tol, sign):
     return xm, f(xm)
 
 
-def maximize_scalar(
-    f: Callable[[float], float],
-    domain: Interval,
-    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
-) -> Tuple[float, float]:
-    """Grid scan plus golden-section refinement; returns (argmax, max).
+def _scan_and_refine(f, domain, cfg, sign):
+    """Grid scan plus golden-section refinement around the best grid cell;
+    sign=+1 maximizes, sign=-1 minimizes.  Returns (argbest, f there).
 
-    The returned value is never below f at either endpoint because both
-    endpoints are grid points.
+    The scan maximizes sign * f, so ties keep the earliest grid point either
+    way.  Both endpoints are grid points, so the result is never worse than
+    f at either of them.
     """
     xs = _grid(domain.lo, domain.hi, cfg.grid_points)
     best_i = 0
-    best_v = f(xs[0])
+    best_v = sign * f(xs[0])
     for i in range(1, len(xs)):
-        v = f(xs[i])
+        v = sign * f(xs[i])
         if v > best_v:
             best_i, best_v = i, v
     a = xs[best_i - 1] if best_i > 0 else xs[0]
     b = xs[best_i + 1] if best_i < len(xs) - 1 else xs[-1]
     if cfg.refine_iterations > 0 and b > a:
-        xr, vr = _golden_refine(f, a, b, cfg.refine_iterations, cfg.tolerance, +1.0)
-        if vr > best_v:
+        xr, vr = _golden_refine(f, a, b, cfg.refine_iterations, cfg.tolerance, sign)
+        if sign * vr > best_v:
             return xr, vr
-    return xs[best_i], best_v
+    return xs[best_i], sign * best_v
+
+
+def maximize_scalar(
+    f: Callable[[float], float],
+    domain: Interval,
+    cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
+) -> Tuple[float, float]:
+    """(argmax, max) of f over the domain; see _scan_and_refine."""
+    return _scan_and_refine(f, domain, cfg, +1.0)
 
 
 def minimize_scalar(
@@ -136,25 +142,5 @@ def minimize_scalar(
     domain: Interval,
     cfg: OptimizerConfig = DEFAULT_OPTIMIZER,
 ) -> Tuple[float, float]:
-    """Mirror of maximize_scalar."""
-    xs = _grid(domain.lo, domain.hi, cfg.grid_points)
-    best_i = 0
-    best_v = f(xs[0])
-    for i in range(1, len(xs)):
-        v = f(xs[i])
-        if v < best_v:
-            best_i, best_v = i, v
-    a = xs[best_i - 1] if best_i > 0 else xs[0]
-    b = xs[best_i + 1] if best_i < len(xs) - 1 else xs[-1]
-    if cfg.refine_iterations > 0 and b > a:
-        xr, vr = _golden_refine(f, a, b, cfg.refine_iterations, cfg.tolerance, -1.0)
-        if vr < best_v:
-            return xr, vr
-    return xs[best_i], best_v
-
-
-def finite_difference(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central difference (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+    """(argmin, min) of f over the domain; see _scan_and_refine."""
+    return _scan_and_refine(f, domain, cfg, -1.0)

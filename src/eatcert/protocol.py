@@ -90,7 +90,7 @@ def _fields(code: int) -> Tuple[Optional[int], ...]:
 
 @dataclass(eq=False)
 class Transcript:
-    """One protocol run: parameters, seed, rounds, abort flag and error.
+    """One protocol run: parameters, seed, rounds and abort flag.
 
     The rounds are columns: ``key_ids`` holds one key id per round, and
     ``g``, ``t``, ``pi_hat``, ``m_hat`` and ``w`` one read-only int8 entry
@@ -108,7 +108,6 @@ class Transcript:
     m_hat: np.ndarray = ()
     w: np.ndarray = ()
     aborted: bool = False
-    error: Optional[str] = None
 
     def __post_init__(self):
         self.key_ids = tuple(self.key_ids)
@@ -134,7 +133,6 @@ class Transcript:
         seed: int,
         rounds: Iterable[RoundRecord],
         aborted: bool = False,
-        error: Optional[str] = None,
     ) -> "Transcript":
         """A transcript holding the given records, whose indices must be
         their positions."""
@@ -146,10 +144,7 @@ class Transcript:
             name: [-1 if getattr(r, name) is BOT else getattr(r, name) for r in rounds]
             for name in _FIELDS
         }
-        return cls(
-            params, seed, [r.key_id for r in rounds], **columns,
-            aborted=aborted, error=error,
-        )
+        return cls(params, seed, [r.key_id for r in rounds], **columns, aborted=aborted)
 
     def _codes(self) -> np.ndarray:
         """Each round's fields packed as by ``_code``, as int16."""
@@ -334,17 +329,20 @@ def _chi2_independent(xs: np.ndarray, ys: np.ndarray) -> Optional[float]:
     return float(p)
 
 
-def markov_condition_audit(
-    transcript: Transcript, significance: float = 0.01, max_lag: int = 3
-) -> bool:
+_AUDIT_LAGS = 3
+_AUDIT_SIGNIFICANCE = 0.01
+
+
+def markov_condition_audit(transcript: Transcript) -> bool:
     """Statistical check that round choices are independent of the past.
 
-    Tests each of the current round's (G, T) against each lagged record
-    field (G, T, W) with chi-square independence tests.  Degenerate tables
-    (constant columns) are skipped.  significance is the family-wise level:
-    each of the m remaining tests rejects at significance / m (Bonferroni),
-    so a memoryless transcript fails with probability at most significance
-    (up to the chi-square approximation).
+    Tests each of the current round's (G, T) against each record field
+    (G, T, W) of the rounds 1 to _AUDIT_LAGS places back with chi-square
+    independence tests.  Degenerate tables (constant columns) are skipped.
+    _AUDIT_SIGNIFICANCE is the family-wise level: each of the m remaining
+    tests rejects at _AUDIT_SIGNIFICANCE / m (Bonferroni), so a memoryless
+    transcript fails with probability at most _AUDIT_SIGNIFICANCE (up to the
+    chi-square approximation).
     """
     if len(transcript.key_ids) < 1000:
         raise ValueError("audit needs at least 1000 rounds")
@@ -353,13 +351,13 @@ def markov_condition_audit(
     current = {"G": g, "T": t}
     past = {"G": g, "T": t, "W": w}
     p_values = []
-    for lag in range(1, max_lag + 1):
+    for lag in range(1, _AUDIT_LAGS + 1):
         for cur in current.values():
             for prev in past.values():
                 p = _chi2_independent(cur[lag:], prev[:-lag])
                 if p is not None:
                     p_values.append(p)
-    return all(p >= significance / len(p_values) for p in p_values)
+    return all(p >= _AUDIT_SIGNIFICANCE / len(p_values) for p in p_values)
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +382,22 @@ def serialize_transcript(tr: Transcript) -> str:
         f" delta_est={p.delta_est!r} xi_slack={p.xi_slack!r}"
         f" seed={tr.seed} aborted={int(tr.aborted)}"
     )
-    lines = [header]
-    if tr.error:
-        lines.append(f"#error {tr.error}")
     # Each line ends in its round's "g,t,pi_hat,m_hat,w", one of a few.
     codes = tr._codes()
     suffixes = np.empty(1 << 10, dtype=object)  # one slot per possible code
     for code in np.unique(codes):
         suffixes[code] = ",".join(_enc(v) for v in _fields(int(code)))
     rows = zip(map(str, range(len(codes))), tr.key_ids, suffixes[codes].tolist())
-    return "\n".join(itertools.chain(lines, map(",".join, rows))) + "\n"
+    return "\n".join(itertools.chain([header], map(",".join, rows))) + "\n"
 
 
 def parse_transcript(text: str) -> Transcript:
     """Read a transcript file, refusing one a verifier must not trust.
 
-    Every round line must carry its position as its index.  A file with an
-    ``#error`` line must be flagged aborted; one without must hold exactly
-    the header's n rounds, and its abort flag must be the abort rule
-    applied to those rounds.
+    Every round line must carry its position as its index, the file must
+    hold exactly the header's n rounds, and its abort flag must be the abort
+    rule applied to those rounds.  Blank lines are skipped; any other line
+    that is not a round, an ``#error`` line among them, is refused.
     """
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#eatcert-transcript"):
@@ -421,7 +416,6 @@ def parse_transcript(text: str) -> Transcript:
         xi_slack=float(fields["xi_slack"]),
     )
     aborted = bool(int(fields["aborted"]))
-    error = None
     keys: List[str] = []
     codes: List[int] = []
     # Each distinct "g,t,pi_hat,m_hat,w" suffix is decoded and checked once.
@@ -431,13 +425,10 @@ def parse_transcript(text: str) -> Transcript:
             index, key, suffix = line.split(",", 2)
             index = int(index)
         except ValueError:
-            # Not a round line: an error line, a blank line, or malformed.
-            if line.startswith("#error "):
-                error = line[len("#error "):]
-                continue
+            # Not a round line: a blank line, or malformed.
             if not line.strip():
                 continue
-            raise
+            raise ValueError(f"not a round line: {line[:40]!r}") from None
         i = len(keys)
         if index != i:
             raise ValueError(f"round {i} is numbered {index}")
@@ -450,17 +441,15 @@ def parse_transcript(text: str) -> Transcript:
             code = suffix_codes[suffix] = _code(values)
         keys.append(key)
         codes.append(code)
-    if error is not None and not aborted:
-        raise ValueError("a transcript with an #error line must be flagged aborted")
-    if error is None and len(keys) != params.n:
+    if len(keys) != params.n:
         raise ValueError(f"transcript holds {len(keys)} rounds, its header n={params.n}")
     packed = np.array(codes, dtype=np.int16)
     columns = {
         name: ((packed >> 2 * k) & 3).astype(np.int8) - 1
         for k, name in enumerate(_FIELDS)
     }
-    tr = Transcript(params, int(fields["seed"]), keys, **columns, aborted=aborted, error=error)
-    if error is None and aborted != (tr.test_win_count() < tr.abort_threshold):
+    tr = Transcript(params, int(fields["seed"]), keys, **columns, aborted=aborted)
+    if aborted != (tr.test_win_count() < tr.abort_threshold):
         raise ValueError(
             f"abort flag {int(aborted)} disagrees with {tr.test_win_count()} test-round"
             f" wins against the threshold {tr.abort_threshold!r}"

@@ -30,7 +30,6 @@ __all__ = [
     "JordanBlock",
     "JordanBlocks",
     "jordan_decompose",
-    "square_overlap",
     "good_subspace_projector",
     "commutator_defect",
     "random_pure_state",
@@ -328,28 +327,6 @@ def jordan_decompose(p: np.ndarray, m: np.ndarray, tol: float = 1e-9) -> JordanB
         for v in vecs:
             result.residuals.append((v, pe, me))
     return result
-
-
-def square_overlap(
-    p: np.ndarray, m: np.ndarray, block: Optional[int] = None
-) -> float:
-    """Maximal squared inner product between the eigenbases of P and M.
-
-    With ``block`` given, only that 2-dim block of the joint decomposition is
-    considered; otherwise the maximum over all blocks (residual simultaneous
-    eigenvectors count as overlap 1).
-    """
-    jb = jordan_decompose(p, m)
-    if block is not None:
-        if block < 0 or block >= len(jb.blocks):
-            raise IndexError(f"block index {block} out of range")
-        return jb.blocks[block].overlap
-    best = 0.0
-    for b in jb.blocks:
-        best = max(best, b.overlap)
-    if jb.residuals:
-        best = 1.0
-    return best
 
 
 def good_subspace_projector(p: np.ndarray, m: np.ndarray, c: float) -> np.ndarray:

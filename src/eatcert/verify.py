@@ -25,7 +25,7 @@ from .devices import (
     device_stats,
     random_device,
 )
-from .eat import RATE_BOUND_CONFIG, TradeoffFunction, tradeoff_value
+from .eat import TradeoffCurve, TradeoffFunction, tradeoff_value
 from .numerics import binary_entropy
 
 __all__ = ["SuiteReport", "SUITES", "run_suite"]
@@ -227,7 +227,7 @@ def suite_tradeoff(trials: int, seed: int) -> SuiteReport:
     worst = math.inf
     gamma = 1.0
     beta = 0.045
-    tf = TradeoffFunction(beta, gamma, omega_0=1.0, cfg=RATE_BOUND_CONFIG)
+    tf = TradeoffFunction(TradeoffCurve(beta, gamma), omega_0=1.0)
     for _ in range(trials):
         dev = random_device(rng)
         stats = device_stats(dev)

@@ -20,7 +20,7 @@ from eatcert.bound import (
     projection_continuity_penalty,
 )
 from eatcert.devices import device_operators, device_stats, random_device
-from eatcert.eat import RATE_BOUND_CONFIG, TradeoffFunction, tradeoff_value
+from eatcert.eat import TradeoffCurve, TradeoffFunction, tradeoff_value
 from eatcert.numerics import binary_entropy
 from eatcert.verify import _TOL, _report, _vacuous
 
@@ -120,7 +120,7 @@ def suite_tradeoff(trials, seed):
     worst = math.inf
     gamma = 1.0
     beta = 0.045
-    tf = TradeoffFunction(beta, gamma, omega_0=1.0, cfg=RATE_BOUND_CONFIG)
+    tf = TradeoffFunction(TradeoffCurve(beta, gamma), omega_0=1.0)
     for _ in range(trials):
         dev = random_device(rng)
         stats = device_stats(dev)

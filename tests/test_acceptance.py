@@ -14,11 +14,10 @@ from eatcert.cli import main
 from eatcert.devices import DeviceBlock, QubitBlockDevice, _named_state
 from eatcert.eat import (
     EatParams,
-    RATE_BOUND_CONFIG,
+    TradeoffCurve,
     TradeoffFunction,
     second_order_coefficient,
 )
-from eatcert.numerics import finite_difference
 from eatcert.protocol import run_protocol
 from eatcert.verify import run_suite
 
@@ -161,11 +160,12 @@ def test_criterion_8_tradeoff_below_exact():
 
 def test_criterion_9_gradient_consistency():
     done = timed(5.0)
-    tf = TradeoffFunction(0.045, 0.5, omega_0=1.0, cfg=RATE_BOUND_CONFIG)
+    tf = TradeoffFunction(TradeoffCurve(0.045, 0.5), omega_0=1.0)
     worst = 0.0
+    h = 1e-3
     for k in range(1, 51):
         omega = 1.0 + k * (1.0 / 51.0)
-        fd = finite_difference(tf.value, omega, 1e-3)
+        fd = (tf.value(omega + h) - tf.value(omega - h)) / (2.0 * h)
         worst = max(worst, abs(fd - tf.slope) / abs(tf.slope))
     assert worst <= 1e-6
     done()

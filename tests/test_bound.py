@@ -34,10 +34,6 @@ class TestBoundConfig:
         with pytest.raises(ValueError):
             BoundConfig(c_domain=Interval(0.4, 1.0))
 
-    def test_rejects_negative_slack(self):
-        with pytest.raises(ValueError):
-            BoundConfig(xi_slack=-1.0)
-
 
 class TestBadSubspaceCoefficient:
     def test_examples(self):
@@ -176,15 +172,24 @@ class TestCombinedBound:
     not bound.USING_COMPILED_KERNELS, reason="compiled kernels unavailable"
 )
 class TestBackendAgreement:
+    """The compiled kernels reproduce the pure-Python mirror bit for bit, so
+    a stale _kernels.c shows here (regenerate it with
+    `cython -3 src/eatcert/_kernels.pyx` and rebuild)."""
+
     def test_two_var_matches_pure(self):
         for wp, wm, mu in [(1.0, 1.0, 0.0), (0.98, 0.97, 0.0), (0.999, 1.0, 0.01)]:
             s = WinningStats(wp, wm, mu)
-            assert entropy_bound(s, FAST) == pytest.approx(
-                bound._entropy_bound_pure(s, FAST), abs=1e-9
-            )
+            assert entropy_bound(s, FAST) == bound._entropy_bound_pure(s, FAST)
 
     def test_combined_matches_pure(self):
-        for omega in (0.5, 0.97, 1.0 - 1e-13, 1.0):
-            assert entropy_bound_combined(omega, 0.045, FAST) == pytest.approx(
-                bound._entropy_bound_combined_pure(omega, 0.045, FAST), abs=1e-9
+        for omega, beta in [
+            (0.5, 0.045),
+            (0.97, 0.045),
+            (1.0 - 1e-13, 0.045),
+            (1.0, 0.045),
+            (1.0 - 1e-12, 0.01),
+            (1.0 - 2e-13, 0.01),
+        ]:
+            assert entropy_bound_combined(omega, beta, FAST) == (
+                bound._entropy_bound_combined_pure(omega, beta, FAST)
             )

@@ -7,7 +7,8 @@ from eatcert import cli, eat
 from eatcert.cli import UsageError, _parse_grid, main
 from eatcert.devices import ideal_device, serialize_device
 from eatcert.eat import (
-    DEFAULT_RATE_SEARCH,
+    BETA_GRID,
+    CUTOFF_GRID,
     TradeoffCurve,
     TradeoffFunction,
     accumulation_rate,
@@ -168,6 +169,20 @@ class TestRateCommand:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ["0", "-5", "0.5", "abc", "1e8,0", "nan", "-inf"])
+    def test_rejects_bad_round_count(self, n, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["rate", "--n", n, "--omega-grid", "0.9:1.0:0.1", "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_accepts_whole_numbers_and_inf(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["rate", "--n", "1, 2e3 ,inf,INF,Infinity,1e400",
+                     "--omega-grid", "0.9:1.0:0.1", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["1", "1", "2000", "2000"] + ["inf"] * 8
+
 
 def fake_combined_bound(omega, beta, cfg):
     """Cheap stand-in for the combined bound: non-zero only near 1."""
@@ -194,10 +209,9 @@ class TestRateSharing:
 
         monkeypatch.setattr(eat, "entropy_bound_combined", counted)
         # The grid's omegas, the tradeoff cutoffs and their secant points.
-        cutoffs = DEFAULT_RATE_SEARCH.omega0_grid
-        omegas = set(_parse_grid(self.GRID)) | set(cutoffs)
-        omegas |= {omega_0 - eat._SLOPE_STEP for omega_0 in cutoffs}
-        pairs = {(omega, beta) for omega in omegas for beta in DEFAULT_RATE_SEARCH.beta_grid}
+        omegas = set(_parse_grid(self.GRID)) | set(CUTOFF_GRID)
+        omegas |= {omega_0 - eat._SLOPE_STEP for omega_0 in CUTOFF_GRID}
+        pairs = {(omega, beta) for omega in omegas for beta in BETA_GRID}
         for k in range(2):
             calls.clear()
             assert self.run_rate(tmp_path / f"r{k}.csv") == 0
@@ -210,7 +224,6 @@ class TestRateSharing:
         monkeypatch.setattr(eat, "entropy_bound_combined", fake_combined_bound)
         out = tmp_path / "r.csv"
         assert self.run_rate(out) == 0
-        search = DEFAULT_RATE_SEARCH
         eps = pomega = 1e-5
         want = []
         for tok in self.N.split(","):
@@ -218,17 +231,19 @@ class TestRateSharing:
                 if tok == "inf":
                     rate = asymptotic_rate(
                         omega,
-                        [TradeoffCurve(beta, self.GAMMA, search.bound_config)
-                         for beta in search.beta_grid],
+                        [TradeoffCurve(beta, self.GAMMA)
+                         for beta in BETA_GRID],
                     )
                 else:
                     rate = max(
                         accumulation_rate(
-                            TradeoffFunction(beta, self.GAMMA, omega_0, search.bound_config),
+                            TradeoffFunction(
+                                TradeoffCurve(beta, self.GAMMA), omega_0
+                            ),
                             omega, float(tok), eps, pomega,
                         )
-                        for beta in search.beta_grid
-                        for omega_0 in search.omega0_grid
+                        for beta in BETA_GRID
+                        for omega_0 in CUTOFF_GRID
                     )
                 want.append([tok if tok == "inf" else str(int(float(tok))), repr(omega), repr(rate)])
         header, rows = read_rows(out)

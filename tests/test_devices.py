@@ -283,8 +283,13 @@ class TestStoredMarginals:
 
 class TestSerialization:
     def test_roundtrip(self):
+        # Device files hold pure block states only.
         rng = np.random.default_rng(7)
-        dev = random_device(rng, max_blocks=3, allow_mixed=False)
+        blocks = tuple(
+            DeviceBlock(w, float(rng.uniform(0.0, math.pi / 2.0)), quantum.random_pure_state(4, rng))
+            for w in (0.5, 0.3, 0.1)
+        )
+        dev = QubitBlockDevice(blocks, 0.1, 0.4)
         text = serialize_device(dev)
         back = parse_device(text)
         a, b = device_stats(dev), device_stats(back)

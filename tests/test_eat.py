@@ -5,7 +5,7 @@ import pytest
 from eatcert import eat
 from eatcert.bound import entropy_bound_combined
 from eatcert.eat import (
-    DEFAULT_RATE_SEARCH,
+    BETA_GRID,
     EatParams,
     OUTCOME_ALPHABET_SIZE,
     RATE_BOUND_CONFIG,
@@ -34,8 +34,8 @@ def make_params(**overrides):
     return EatParams(**base)
 
 
-def make_tf(beta=0.045, gamma=1.0, omega_0=1.0, **kw):
-    return TradeoffFunction(beta, gamma, omega_0, RATE_BOUND_CONFIG, **kw)
+def make_tf(beta=0.045, gamma=1.0, omega_0=1.0):
+    return TradeoffFunction(TradeoffCurve(beta, gamma), omega_0)
 
 
 class TestEatParams:
@@ -105,11 +105,11 @@ class TestTradeoffFunction:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TradeoffFunction(0.0, 1.0, 1.0)
+            TradeoffCurve(0.0, 1.0)
         with pytest.raises(ValueError):
-            TradeoffFunction(0.045, 0.0, 1.0)
+            TradeoffCurve(0.045, 0.0)
         with pytest.raises(ValueError):
-            TradeoffFunction(0.045, 1.0, 0.5)
+            TradeoffFunction(TradeoffCurve(0.045, 1.0), 0.5)
 
 
 class TestTradeoffValue:
@@ -182,27 +182,20 @@ class TestCertifiedMinEntropy:
         # Per-round rate converges to curve value minus the per-round test
         # cost once the sqrt(n) penalty is diluted.
         tf = make_tf(gamma=0.5)
-        p = make_params(n=10**16, gamma=0.5)
+        # 1 - 2e-17 rounds to a threshold of exactly 1.
+        p = make_params(n=10**16, gamma=0.5, delta_est=1e-17)
+        assert p.threshold == 1.0
         want = tf.value(1.0) - p.gamma
-        got = certified_min_entropy(p, tf, omega_threshold=1.0) / p.n
+        got = certified_min_entropy(p, tf) / p.n
         assert got == pytest.approx(want, abs=1e-4)
         assert got > 0.0
 
     def test_threshold_range_errors(self):
         tf = make_tf(gamma=0.5)
         with pytest.raises(ValueError):
-            certified_min_entropy(make_params(), tf, omega_threshold=0.4)
-        with pytest.raises(ValueError):
-            certified_min_entropy(make_params(), tf, omega_threshold=1.1)
+            certified_min_entropy(make_params(omega_exp=0.5, delta_est=0.05), tf)
         with pytest.raises(ValueError):
             certified_min_entropy(make_params(omega_exp=0.5, delta_est=0.3), tf)
-
-    def test_literal_chain_rule_not_smaller(self):
-        tf = make_tf(gamma=0.5)
-        p = make_params(n=10**12)
-        a = certified_min_entropy(p, tf)
-        b = certified_min_entropy(p, tf, literal_chain_rule=True)
-        assert b >= a
 
     def test_monotone_in_n(self):
         tf = make_tf(gamma=0.5)
@@ -214,9 +207,8 @@ class TestCertifiedMinEntropy:
 
     def test_monotone_in_threshold(self):
         tf = make_tf(gamma=0.5)
-        p = make_params(n=10**12)
-        lo = certified_min_entropy(p, tf, omega_threshold=0.95)
-        hi = certified_min_entropy(p, tf, omega_threshold=1.0)
+        lo = certified_min_entropy(make_params(n=10**12, omega_exp=0.95), tf)
+        hi = certified_min_entropy(make_params(n=10**12, delta_est=1e-17), tf)
         assert lo <= hi
 
     def test_monotone_in_failure_budget(self):
@@ -249,8 +241,8 @@ class TestAccumulationRate:
         assert accumulation_rate(tf, 0.9, 1e8, 1e-5, 1e-5) == 0.0
 
 
-def rate_curves(gamma, grid=DEFAULT_RATE_SEARCH.beta_grid):
-    return [TradeoffCurve(beta, gamma, RATE_BOUND_CONFIG) for beta in grid]
+def rate_curves(gamma, grid=BETA_GRID):
+    return [TradeoffCurve(beta, gamma) for beta in grid]
 
 
 class TestAsymptoticRate:
@@ -262,22 +254,20 @@ class TestAsymptoticRate:
         assert asymptotic_rate(0.99, rate_curves(1.0)) == 0.0
 
     def test_dominates_single_beta(self):
-        grid = DEFAULT_RATE_SEARCH.beta_grid
         full = asymptotic_rate(1.0, rate_curves(1.0))
-        for beta in grid:
+        for beta in BETA_GRID:
             assert full >= asymptotic_rate(1.0, rate_curves(1.0, (beta,))) - 1e-12
 
     def test_equals_best_combined_bound_over_beta(self):
         # The curve value (g - 0) * (1 - beta gamma) is the product the
         # infinite-n rate maximizes, so reading it off a curve is exact.
-        grid = DEFAULT_RATE_SEARCH.beta_grid
         for omega in (0.99, 1.0 - 1e-13, 1.0):
             want = max(
                 [0.0]
                 + [
                     entropy_bound_combined(omega, beta, RATE_BOUND_CONFIG)
                     * (1.0 - beta * 0.5)
-                    for beta in grid
+                    for beta in BETA_GRID
                 ]
             )
             assert asymptotic_rate(omega, rate_curves(0.5)) == want
@@ -293,23 +283,13 @@ class TestSharedCurve:
             return real(omega, beta, cfg)
 
         monkeypatch.setattr(eat, "entropy_bound_combined", counted)
-        curve = TradeoffCurve(0.045, 1.0, RATE_BOUND_CONFIG)
-        shared = [
-            TradeoffFunction(0.045, 1.0, omega_0, RATE_BOUND_CONFIG, curve=curve)
-            for omega_0 in (0.99, 1.0)
-        ]
+        curve = TradeoffCurve(0.045, 1.0)
+        shared = [TradeoffFunction(curve, omega_0) for omega_0 in (0.99, 1.0)]
         # 0.99 is the first cutoff and the second one's secant point.
         assert sorted(calls) == [0.98, 0.99, 1.0]
         for tf in shared:
             alone = make_tf(omega_0=tf.omega_0)
             assert (tf.cutoff_value, tf.slope) == (alone.cutoff_value, alone.slope)
-
-    def test_rejects_curve_for_other_parameters(self):
-        curve = TradeoffCurve(0.045, 1.0, RATE_BOUND_CONFIG)
-        with pytest.raises(ValueError):
-            TradeoffFunction(0.045, 0.5, 1.0, RATE_BOUND_CONFIG, curve=curve)
-        with pytest.raises(ValueError):
-            TradeoffFunction(0.045, 1.0, 1.0, RATE_BOUND_CONFIG, 0.1, curve=curve)
 
 
 class TestOptimizeRate:
@@ -329,7 +309,7 @@ class TestOptimizeRate:
     def test_dominates_fixed_choice(self):
         p = make_params(n=10**10)
         beta, omega_0, rate = optimize_rate(p)
-        tf = TradeoffFunction(beta, p.gamma, omega_0, RATE_BOUND_CONFIG)
+        tf = make_tf(beta, p.gamma, omega_0)
         from dataclasses import replace
 
         direct = certified_min_entropy(replace(p, beta=beta), tf) / p.n

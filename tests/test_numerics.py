@@ -9,7 +9,6 @@ from eatcert.numerics import (
     OptimizerConfig,
     binary_entropy,
     clamp01,
-    finite_difference,
     maximize_scalar,
     minimize_scalar,
 )
@@ -115,16 +114,3 @@ class TestMinimize:
         arg, value = minimize_scalar(lambda x: x * x, Interval(0.5, 0.5))
         assert (arg, value) == (0.5, 0.25)
 
-
-class TestFiniteDifference:
-    def test_square(self):
-        assert finite_difference(lambda x: x * x, 3.0, 1e-5) == pytest.approx(
-            6.0, abs=1e-8
-        )
-
-    def test_constant(self):
-        assert finite_difference(lambda x: 4.2, 0.3, 1e-5) == 0.0
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            finite_difference(lambda x: x, 0.0, 0.0)

@@ -282,28 +282,30 @@ class TestJordanDecompose:
 
 
 class TestSquareOverlap:
+    """The square overlap of each block of the joint decomposition."""
+
     def test_maximally_incompatible(self):
         p = np.diag([1.0, 0.0]).astype(complex)
         m = np.full((2, 2), 0.5, dtype=complex)
-        assert quantum.square_overlap(p, m) == pytest.approx(0.5)
+        jb = quantum.jordan_decompose(p, m)
+        assert [b.overlap for b in jb.blocks] == [pytest.approx(0.5)]
+        assert jb.residuals == []
 
     def test_commuting(self):
+        # P against itself: one degenerate block at angle 0, overlap 1.
         p = np.diag([1.0, 0.0]).astype(complex)
-        assert quantum.square_overlap(p, p) == 1.0
+        jb = quantum.jordan_decompose(p, p)
+        assert [b.overlap for b in jb.blocks] == [1.0]
+        assert jb.residuals == []
 
     def test_sixty_degree_block(self):
         theta = math.pi / 3
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         p = np.diag([1.0, 0.0]).astype(complex)
         m = np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
-        assert quantum.square_overlap(p, m) == pytest.approx(0.75, abs=1e-12)
-
-    def test_block_index(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        m = np.full((2, 2), 0.5, dtype=complex)
-        assert quantum.square_overlap(p, m, block=0) == pytest.approx(0.5)
-        with pytest.raises(IndexError):
-            quantum.square_overlap(p, m, block=5)
+        jb = quantum.jordan_decompose(p, m)
+        assert [b.overlap for b in jb.blocks] == [pytest.approx(0.75, abs=1e-12)]
+        assert jb.residuals == []
 
 
 class TestGoodSubspace:
