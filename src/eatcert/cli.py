@@ -24,7 +24,7 @@ from .eat import (
     asymptotic_rate,
     entropy_bound_combined,
 )
-from .bound import WinningStats, entropy_bound
+from .bound import WinningStats, entropy_bounds
 from .protocol import certify, freq_of, run_protocol, serialize_transcript
 from .verify import run_suite
 
@@ -62,7 +62,13 @@ def _parse_grid(spec: str) -> List[float]:
         x = lo + k * step
         if x > hi + 1e-12:
             break
-        values.append(min(x, hi))
+        value = min(x, hi)
+        if values and value == values[-1]:
+            raise UsageError(
+                f"grid spec {spec!r}: step {step!r} is below the spacing of doubles"
+                f" near {value!r}, so the grid repeats points"
+            )
+        values.append(value)
         if x >= hi:
             # Later points would clamp to hi again.
             break
@@ -112,12 +118,9 @@ def cmd_bound(args) -> int:
 
 def cmd_bound2d(args) -> int:
     grid = _parse_grid(args.grid)
-    rows = []
-    for wp in grid:
-        for wm in grid:
-            rows.append(
-                (wp, wm, entropy_bound(WinningStats(wp, wm), RATE_BOUND_CONFIG))
-            )
+    cells = [(wp, wm) for wp in grid for wm in grid]
+    bounds = entropy_bounds([WinningStats(wp, wm) for wp, wm in cells], RATE_BOUND_CONFIG)
+    rows = [(wp, wm, b) for (wp, wm), b in zip(cells, bounds.tolist())]
     _write_csv(args.out, ("omega_p", "omega_m", "bound"), rows)
     return EXIT_OK
 

@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from eatcert import bound
+from eatcert import bound, eat
 from eatcert.bound import (
     BoundConfig,
     WinningStats,
@@ -10,8 +11,11 @@ from eatcert.bound import (
     entropy_bound,
     entropy_bound_combined,
     entropy_bound_fixed_overlap,
+    entropy_bounds,
     projection_continuity_penalty,
 )
+from eatcert.cli import main
+from eatcert.eat import RATE_BOUND_CONFIG
 from eatcert.numerics import Interval, OptimizerConfig, binary_entropy
 
 FAST = BoundConfig(optimizer=OptimizerConfig(grid_points=301, refine_iterations=40))
@@ -65,8 +69,9 @@ class TestFixedOverlap:
             entropy_bound_fixed_overlap(WinningStats(1.0, 1.0), 0.5)
 
     def test_equals_formula_exactly(self):
-        # The formula term by term, as the compiled kernel evaluates it; the
-        # pure-Python objective must give the same floats, not just close ones.
+        # The formula term by term; the scalar objective, which the tests
+        # take as the reference for the numpy kernel, must give the same
+        # floats, not just close ones.
         def formula(s, c):
             a = bad_subspace_coefficient(c)
             pen = (
@@ -168,13 +173,11 @@ class TestCombinedBound:
             entropy_bound_combined(0.9, 0.0)
 
 
-@pytest.mark.skipif(
-    not bound.USING_COMPILED_KERNELS, reason="compiled kernels unavailable"
-)
 class TestBackendAgreement:
-    """The compiled kernels reproduce the pure-Python mirror bit for bit, so
-    a stale _kernels.c shows here (regenerate it with
-    `cython -3 src/eatcert/_kernels.pyx` and rebuild)."""
+    """The numpy kernel behind entropy_bound, entropy_bounds and
+    entropy_bound_combined reproduces the scalar reference
+    (_entropy_bound_pure, _entropy_bound_combined_pure) bit for bit at these
+    points."""
 
     def test_two_var_matches_pure(self):
         for wp, wm, mu in [(1.0, 1.0, 0.0), (0.98, 0.97, 0.0), (0.999, 1.0, 0.01)]:
@@ -193,3 +196,63 @@ class TestBackendAgreement:
             assert entropy_bound_combined(omega, beta, FAST) == (
                 bound._entropy_bound_combined_pure(omega, beta, FAST)
             )
+
+    def test_combined_matches_pure_on_rate_requests(self, tmp_path, monkeypatch):
+        # Every (omega, beta) that `eatcert rate` evaluates on the two grids
+        # of perfbench's rate-curves workload: the README grid and the last
+        # 1e-12 below 1.  The pairs do not depend on gamma.
+        pairs = set()
+        combined = eat.entropy_bound_combined
+
+        def record(omega, beta, cfg):
+            pairs.add((omega, beta))
+            return combined(omega, beta, cfg)
+
+        monkeypatch.setattr(eat, "entropy_bound_combined", record)
+        for grid in ("0.9995:1.0:0.0001", "0.999999999999:1.0:2e-13"):
+            argv = ["rate", "--n", "1e8,1e10,1e12,inf", "--gamma", "0.5",
+                    "--omega-grid", grid, "--out", str(tmp_path / "rate.csv")]
+            assert main(argv) == 0
+        assert len(pairs) == 85
+        for omega, beta in sorted(pairs):
+            assert combined(omega, beta, RATE_BOUND_CONFIG) == (
+                bound._entropy_bound_combined_pure(omega, beta, RATE_BOUND_CONFIG)
+            ), (omega, beta)
+
+    def test_split_without_prefactor_gives_exact_zero(self):
+        # a(c) >= 10 on (1/2, 1], so a split with 1 - 10 pen <= 0 has no c
+        # with a positive prefactor.  Here the first split has one and a
+        # later split does not.
+        omega, beta = 1.0 - 2e-5, 0.001
+        lo = (omega - beta) / (1.0 - beta)
+        hi = min(1.0, omega / (1.0 - beta))
+        pens = [
+            bound._rate_terms(wp, min(1.0, max(0.0, (omega - (1 - beta) * wp) / beta)), 0.0)[0]
+            for wp in (lo, hi)
+        ]
+        assert 1.0 - 10.0 * pens[0] > 0.0 >= 1.0 - 10.0 * pens[1]
+        assert entropy_bound_combined(omega, beta, FAST) == 0.0
+        assert bound._entropy_bound_combined_pure(omega, beta, FAST) == 0.0
+        s = WinningStats(hi, (omega - (1 - beta) * hi) / beta)
+        assert entropy_bound(s, FAST) == 0.0 == bound._entropy_bound_pure(s, FAST)
+
+    def test_two_var_rows_match_pure_within_log2_rounding(self):
+        # The kernel evaluates the binary entropy, and log2(1/c) at the
+        # golden-section points, with np.log2, which differs from libm's
+        # log2 by one ulp on about 0.3% of inputs.  A row's value then moves
+        # by a few ulp of 1 at most (3.1e-16 here, 2 of these 400 rows), so
+        # the bound is 1e-15, about 4.5 ulp of 1; most rows agree exactly.
+        rng = random.Random(20231)
+        stats = [
+            WinningStats(
+                1.0 - 10.0 ** rng.uniform(-16, -1),
+                1.0 - 10.0 ** rng.uniform(-16, -1),
+                rng.choice((0.0, 0.0, 10.0 ** rng.uniform(-9, -3))),
+            )
+            for _ in range(400)
+        ]
+        got = entropy_bounds(stats, FAST)
+        want = [bound._entropy_bound_pure(s, FAST) for s in stats]
+        assert sum(w > 0.0 for w in want) > 50
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+        assert sum(g != w for g, w in zip(got, want)) <= 8

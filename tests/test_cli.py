@@ -4,11 +4,13 @@ from collections import Counter
 import pytest
 
 from eatcert import cli, eat
+from eatcert.bound import WinningStats, entropy_bound
 from eatcert.cli import UsageError, _parse_grid, main
 from eatcert.devices import ideal_device, serialize_device
 from eatcert.eat import (
     BETA_GRID,
     CUTOFF_GRID,
+    RATE_BOUND_CONFIG,
     TradeoffCurve,
     TradeoffFunction,
     accumulation_rate,
@@ -64,6 +66,15 @@ class TestParseGrid:
         for spec in ("0:1", "a:b:c", "1:0:0.1", "0:1:0"):
             with pytest.raises(UsageError):
                 _parse_grid(spec)
+
+    def test_step_below_double_spacing_is_refused(self, tmp_path, capsys):
+        # lo + k * 1e-17 rounds back to lo: the grid would repeat points.
+        spec = "0.999999999999:1.0:1e-17"
+        with pytest.raises(UsageError):
+            _parse_grid(spec)
+        out = tmp_path / "b.csv"
+        assert main(["bound", "--beta", "0.045", "--omega-grid", spec, "--out", str(out)]) == 1
+        assert "spacing of doubles" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -144,6 +155,18 @@ class TestBound2dCommand:
         assert table[("1.0", "1.0")] >= 0.999
         assert table[("0.5", "0.5")] == 0.0
         assert len(rows) == 9
+
+    def test_rows_equal_entropy_bound_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "b2.csv"
+        assert main(["bound2d", "--grid", "0.99999999999:1.0:2e-12", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 36
+        nonzero = 0
+        for wp, wm, got in rows:
+            want = entropy_bound(WinningStats(float(wp), float(wm)), RATE_BOUND_CONFIG)
+            assert got == repr(want)
+            nonzero += want > 0.0
+        assert nonzero >= 10
 
 
 class TestRateCommand:
