@@ -8,6 +8,7 @@ error, 2 verification failure, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -16,7 +17,6 @@ from .devices import parse_device
 from .eat import (
     BETA_GRID,
     CUTOFF_GRID,
-    RATE_BOUND_CONFIG,
     EatParams,
     TradeoffCurve,
     TradeoffFunction,
@@ -108,10 +108,7 @@ def _fmt(cell) -> str:
 
 def cmd_bound(args) -> int:
     omegas = _parse_grid(args.omega_grid)
-    rows = [
-        (omega, entropy_bound_combined(omega, args.beta, RATE_BOUND_CONFIG))
-        for omega in omegas
-    ]
+    rows = [(omega, entropy_bound_combined(omega, args.beta)) for omega in omegas]
     _write_csv(args.out, ("omega", "bound"), rows)
     return EXIT_OK
 
@@ -119,7 +116,7 @@ def cmd_bound(args) -> int:
 def cmd_bound2d(args) -> int:
     grid = _parse_grid(args.grid)
     cells = [(wp, wm) for wp in grid for wm in grid]
-    bounds = entropy_bounds([WinningStats(wp, wm) for wp, wm in cells], RATE_BOUND_CONFIG)
+    bounds = entropy_bounds([WinningStats(wp, wm) for wp, wm in cells])
     rows = [(wp, wm, b) for (wp, wm), b in zip(cells, bounds.tolist())]
     _write_csv(args.out, ("omega_p", "omega_m", "bound"), rows)
     return EXIT_OK
@@ -168,32 +165,14 @@ def cmd_rate(args) -> int:
     return EXIT_OK
 
 
-_PARAM_KEYS = (
-    "n",
-    "gamma",
-    "beta",
-    "eps_s",
-    "p_omega",
-    "omega_exp",
-    "delta_est",
-    "xi_slack",
-    "omega_0",
-)
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(EatParams)) + ("omega_0",)
 
 
 def _load_params(path: str):
     kv = _read_config(path, _PARAM_KEYS)
     try:
-        params = EatParams(
-            n=int(kv["n"]),
-            gamma=float(kv["gamma"]),
-            beta=float(kv["beta"]),
-            eps_s=float(kv["eps_s"]),
-            p_omega=float(kv["p_omega"]),
-            omega_exp=float(kv["omega_exp"]),
-            delta_est=float(kv["delta_est"]),
-            xi_slack=float(kv.get("xi_slack", "0")),
-        )
+        # A parameter file may leave out the slack.
+        params = EatParams.from_text({"xi_slack": "0", **kv})
     except KeyError as exc:
         raise UsageError(f"{path}: missing required key {exc.args[0]!r}") from None
     except ValueError as exc:
@@ -218,8 +197,7 @@ def cmd_simulate(args) -> int:
     if transcript.aborted:
         summary += " certified_entropy=0.0 generation_rounds=0"
     else:
-        curve = TradeoffCurve(params.beta, params.gamma, params.xi_slack)
-        tf = TradeoffFunction(curve, omega_0)
+        tf = TradeoffFunction(TradeoffCurve(params.beta, params.gamma), omega_0)
         entropy, gen_count = certify(transcript, tf)
         summary += f" certified_entropy={entropy!r} generation_rounds={gen_count}"
     print(summary)

@@ -10,15 +10,13 @@ fixed costs from isolating the generation-round outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Iterable, Mapping, Tuple
 
-from .bound import BoundConfig, entropy_bound_combined
-from .numerics import OptimizerConfig
+from .bound import DEFAULT_BOUND_CONFIG, entropy_bound_combined
 
 __all__ = [
     "OUTCOME_ALPHABET_SIZE",
-    "RATE_OPTIMIZER",
     "RATE_BOUND_CONFIG",
     "EatParams",
     "TradeoffCurve",
@@ -43,10 +41,9 @@ OUTCOME_ALPHABET_SIZE = 6
 # the cap below the curve while giving usable second-order coefficients.
 _SLOPE_STEP = 1e-2
 
-# Rate sweeps evaluate the combined bound thousands of times; a lighter
-# optimizer keeps them fast while staying deterministic.
-RATE_OPTIMIZER = OptimizerConfig(grid_points=301, refine_iterations=40, tolerance=1e-9)
-RATE_BOUND_CONFIG = BoundConfig(optimizer=RATE_OPTIMIZER)
+# The bound's one configuration under its former name, kept because
+# perfbench/worker.py and perfbench/tests import it.
+RATE_BOUND_CONFIG = DEFAULT_BOUND_CONFIG
 
 # The mixing ratios and tradeoff cutoffs that rate searches try.  The curve is
 # zero except extremely close to 1, so the cutoffs concentrate there; 1.0
@@ -88,6 +85,18 @@ class EatParams:
         if self.xi_slack < 0.0:
             raise ValueError("xi_slack must be non-negative")
 
+    @classmethod
+    def from_text(cls, values: Mapping[str, str]) -> "EatParams":
+        """Parameters from a name -> text mapping: int for n, float for the
+        rest.  A missing name raises KeyError; other names are ignored."""
+        return cls(
+            **{f.name: (int if f.name == "n" else float)(values[f.name]) for f in fields(cls)}
+        )
+
+    def tokens(self) -> str:
+        """'name=repr(value)' for each field in order, space-separated."""
+        return " ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+
     @property
     def threshold(self) -> float:
         """Per-test-round winning threshold implied by the abort rule."""
@@ -95,39 +104,35 @@ class EatParams:
 
 
 class TradeoffCurve:
-    """The un-truncated per-round rate (entropy_bound_combined(omega) - xi)
-    * (1 - beta gamma) under RATE_BOUND_CONFIG, each value computed once per
-    instance.
+    """The un-truncated per-round rate entropy_bound_combined(omega) * (1 -
+    beta gamma), each value computed once per instance.
 
     Tradeoff functions that differ only in their cutoff can share one curve.
     The stored values live as long as the instance: share it within one
     computation, not across independent requests.
     """
 
-    def __init__(self, beta: float, gamma: float, xi_slack: float = 0.0):
+    def __init__(self, beta: float, gamma: float):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta outside (0, 1)")
         if not 0.0 < gamma <= 1.0:
             raise ValueError("gamma outside (0, 1]")
         self.beta = beta
         self.gamma = gamma
-        self.xi_slack = xi_slack
         self._values: Dict[float, float] = {}
 
     def __call__(self, omega: float) -> float:
         if omega not in self._values:
-            g = entropy_bound_combined(omega, self.beta, RATE_BOUND_CONFIG)
-            self._values[omega] = (g - self.xi_slack) * (
-                1.0 - self.beta * self.gamma
-            )
+            g = entropy_bound_combined(omega, self.beta)
+            self._values[omega] = g * (1.0 - self.beta * self.gamma)
         return self._values[omega]
 
 
 class TradeoffFunction:
     """Per-round entropy rate as a function of the test winning frequency.
 
-    The underlying curve is (entropy_bound_combined(omega) - xi) * (1 - beta
-    gamma); above the cutoff the curve is replaced by its tangent so that the
+    The underlying curve is entropy_bound_combined(omega) * (1 - beta gamma);
+    above the cutoff the curve is replaced by its tangent so that the
     slope stays bounded (the curve itself steepens without limit near 1).
     Tradeoff functions built on one curve share its values.
     """
@@ -200,7 +205,9 @@ def certified_min_entropy(params: EatParams, tf: TradeoffFunction) -> float:
 
     The bound isolates the generation outputs by subtracting the worst-case
     test-round contribution (one bit per test round, i.e. the constant gamma
-    per round) and pays fixed smoothing costs and a chain-rule penalty.
+    per round) and pays fixed smoothing costs and a chain-rule penalty.  The
+    slack params.xi_slack, which stands in for the device's commutator
+    defect, is paid here, once per round, and nowhere else.
     """
     # EatParams keeps omega_exp <= 1 and delta_est > 0, so the threshold is
     # never above 1.
@@ -260,7 +267,7 @@ def optimize_rate(params: EatParams) -> Tuple[float, float, float]:
         return best
     for beta in BETA_GRID:
         # The cutoffs of one beta share its curve.
-        curve = TradeoffCurve(beta, params.gamma, params.xi_slack)
+        curve = TradeoffCurve(beta, params.gamma)
         trial = replace(params, beta=beta)
         for omega_0 in CUTOFF_GRID:
             tf = TradeoffFunction(curve, omega_0)

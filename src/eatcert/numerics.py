@@ -37,15 +37,11 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"invalid interval: lo={self.lo} > hi={self.hi}")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    grid_points: int = 2001
-    refine_iterations: int = 60
+    grid_points: int = 301
+    refine_iterations: int = 40
     tolerance: float = 1e-9
 
     def __post_init__(self):

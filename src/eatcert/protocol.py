@@ -12,6 +12,7 @@ columns; ``Transcript.rounds`` presents the same rounds as ``RoundRecord``s.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -220,7 +221,6 @@ def run_protocol(
     device: QubitBlockDevice,
     params: EatParams,
     seed: int,
-    key_reuse: bool = False,
 ) -> Transcript:
     """Run all n rounds against the device; deterministic under the seed.
 
@@ -282,22 +282,16 @@ def run_protocol(
         name: np.concatenate([part[k] for part in parts]).astype(np.int8)
         for k, name in enumerate(_FIELDS)
     }
-    keys = ("k00000000",) * n if key_reuse else ["k%08d" % i for i in range(n)]
+    keys = ["k%08d" % i for i in range(n)]
     tr = Transcript(params=params, seed=seed, key_ids=keys, **columns)
     tr.aborted = tr.test_win_count() < tr.abort_threshold
     return tr
 
 
-def freq_of(transcript: Transcript, restrict: str = "all") -> FreqDistribution:
+def freq_of(transcript: Transcript) -> FreqDistribution:
     """Empirical frequencies of the test-outcome register over (bot, 0, 1)."""
-    if restrict == "all":
-        w = transcript.w
-    elif restrict == "test":
-        w = transcript.w[transcript.g == 0]
-    else:
-        raise ValueError(f"unknown restriction {restrict!r}")
-    counts = np.bincount(w + 1, minlength=3)
-    return FreqDistribution(tuple(int(c) for c in counts), len(w))
+    counts = np.bincount(transcript.w + 1, minlength=3)
+    return FreqDistribution(tuple(int(c) for c in counts), len(transcript.w))
 
 
 def certify(transcript: Transcript, tf: TradeoffFunction) -> Tuple[float, int]:
@@ -373,13 +367,14 @@ def _dec(token: str) -> Optional[int]:
     return BOT if token == "-" else int(token)
 
 
+# The header's names after "#eatcert-transcript": the parameters, then
+# the seed and the abort flag.
+_HEADER_NAMES = tuple(f.name for f in dataclasses.fields(EatParams)) + ("seed", "aborted")
+
+
 def serialize_transcript(tr: Transcript) -> str:
-    p = tr.params
     header = (
-        "#eatcert-transcript"
-        f" n={p.n} gamma={p.gamma!r} beta={p.beta!r} eps_s={p.eps_s!r}"
-        f" p_omega={p.p_omega!r} omega_exp={p.omega_exp!r}"
-        f" delta_est={p.delta_est!r} xi_slack={p.xi_slack!r}"
+        f"#eatcert-transcript {tr.params.tokens()}"
         f" seed={tr.seed} aborted={int(tr.aborted)}"
     )
     # Each line ends in its round's "g,t,pi_hat,m_hat,w", one of a few.
@@ -394,28 +389,29 @@ def serialize_transcript(tr: Transcript) -> str:
 def parse_transcript(text: str) -> Transcript:
     """Read a transcript file, refusing one a verifier must not trust.
 
-    Every round line must carry its position as its index, the file must
-    hold exactly the header's n rounds, and its abort flag must be the abort
-    rule applied to those rounds.  Blank lines are skipped; any other line
-    that is not a round, an ``#error`` line among them, is refused.
+    The header must give each parameter, the seed and the abort flag once,
+    and nothing else; the abort flag must be 0 or 1.  Every round line must
+    carry its position as its index, the file must hold exactly the header's
+    n rounds, and its abort flag must be the abort rule applied to those
+    rounds.  Blank lines are skipped; any other line that is not a round, an
+    ``#error`` line among them, is refused.
     """
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("#eatcert-transcript"):
+    words = lines[0].split() if lines else []
+    if words[:1] != ["#eatcert-transcript"]:
         raise ValueError("missing transcript header")
-    fields = dict(
-        tok.split("=", 1) for tok in lines[0].split()[1:]
-    )
-    params = EatParams(
-        n=int(fields["n"]),
-        gamma=float(fields["gamma"]),
-        beta=float(fields["beta"]),
-        eps_s=float(fields["eps_s"]),
-        p_omega=float(fields["p_omega"]),
-        omega_exp=float(fields["omega_exp"]),
-        delta_est=float(fields["delta_est"]),
-        xi_slack=float(fields["xi_slack"]),
-    )
-    aborted = bool(int(fields["aborted"]))
+    tokens = [word.partition("=") for word in words[1:]]
+    names = [name for name, eq, _ in tokens if eq]
+    if len(names) != len(tokens) or sorted(names) != sorted(_HEADER_NAMES):
+        raise ValueError(
+            f"transcript header must give name=value for each of {' '.join(_HEADER_NAMES)},"
+            " once each and nothing else"
+        )
+    header = {name: value for name, _, value in tokens}
+    params = EatParams.from_text(header)
+    if header["aborted"] not in ("0", "1"):
+        raise ValueError(f"abort flag {header['aborted']!r} is neither 0 nor 1")
+    aborted = header["aborted"] == "1"
     keys: List[str] = []
     codes: List[int] = []
     # Each distinct "g,t,pi_hat,m_hat,w" suffix is decoded and checked once.
@@ -448,7 +444,7 @@ def parse_transcript(text: str) -> Transcript:
         name: ((packed >> 2 * k) & 3).astype(np.int8) - 1
         for k, name in enumerate(_FIELDS)
     }
-    tr = Transcript(params, int(fields["seed"]), keys, **columns, aborted=aborted)
+    tr = Transcript(params, int(header["seed"]), keys, **columns, aborted=aborted)
     if aborted != (tr.test_win_count() < tr.abort_threshold):
         raise ValueError(
             f"abort flag {int(aborted)} disagrees with {tr.test_win_count()} test-round"

@@ -48,13 +48,13 @@ def respond_equation(device, rng):
     return 0 if win else 1
 
 
-def run_protocol_per_round(device, params, seed, key_reuse=False):
+def run_protocol_per_round(device, params, seed):
     """The test/generation split draws one uniform per round, the challenge
     split one more in test rounds, then the device consumes the generator."""
     rng = np.random.default_rng(seed)
     rounds = []
     for i in range(params.n):
-        key = f"k{0 if key_reuse else i:08d}"
+        key = f"k{i:08d}"
         if not rng.random() < params.gamma:
             pi_hat = respond_preimage(device, rng)
             rounds.append(RoundRecord(i, key, 1, 0, pi_hat, BOT, BOT))

@@ -5,6 +5,7 @@ import pytest
 
 from eatcert import bound, eat
 from eatcert.bound import (
+    DEFAULT_BOUND_CONFIG,
     BoundConfig,
     WinningStats,
     bad_subspace_coefficient,
@@ -15,10 +16,7 @@ from eatcert.bound import (
     projection_continuity_penalty,
 )
 from eatcert.cli import main
-from eatcert.eat import RATE_BOUND_CONFIG
-from eatcert.numerics import Interval, OptimizerConfig, binary_entropy
-
-FAST = BoundConfig(optimizer=OptimizerConfig(grid_points=301, refine_iterations=40))
+from eatcert.numerics import Interval, binary_entropy
 
 
 class TestWinningStats:
@@ -114,11 +112,11 @@ class TestEntropyBound:
 
     def test_zero_equation_rate(self):
         for wp in (0.0, 0.5, 1.0):
-            assert entropy_bound(WinningStats(wp, 0.0), FAST) == 0.0
+            assert entropy_bound(WinningStats(wp, 0.0)) == 0.0
 
     def test_monotone_spot(self):
-        a = entropy_bound(WinningStats(0.999, 0.999), FAST)
-        b = entropy_bound(WinningStats(1.0, 1.0), FAST)
+        a = entropy_bound(WinningStats(0.999, 0.999))
+        b = entropy_bound(WinningStats(1.0, 1.0))
         assert a <= b
 
     def test_in_unit_interval_and_monotone_grid(self):
@@ -128,7 +126,7 @@ class TestEntropyBound:
             wp = 1.0 - i * 1e-6
             for j in range(11):
                 wm = 1.0 - j * 1e-6
-                v = entropy_bound(WinningStats(wp, wm), FAST)
+                v = entropy_bound(WinningStats(wp, wm))
                 assert 0.0 <= v <= 1.0
                 row.append(v)
             # non-increasing as wm decreases, and rows dominate lower-wp rows
@@ -144,7 +142,7 @@ class TestCombinedBound:
 
     def test_half_clamps(self):
         for beta in (0.045, 0.3, 0.9):
-            assert entropy_bound_combined(0.5, beta, FAST) == 0.0
+            assert entropy_bound_combined(0.5, beta) == 0.0
 
     def test_against_dense_grid_oracle(self):
         # Independent dense scan over the feasible split.
@@ -157,13 +155,14 @@ class TestCombinedBound:
             for k in range(n):
                 wp = lo + (hi - lo) * k / (n - 1)
                 wm = min(1.0, max(0.0, (omega - (1 - beta) * wp) / beta))
-                best = min(best, bound._entropy_bound_pure(WinningStats(wp, wm), FAST))
-            got = entropy_bound_combined(omega, beta, FAST)
+                s = WinningStats(wp, wm)
+                best = min(best, bound._entropy_bound_pure(s, DEFAULT_BOUND_CONFIG))
+            got = entropy_bound_combined(omega, beta)
             assert got == pytest.approx(best, abs=1e-6)
 
     def test_monotone_in_omega(self):
         values = [
-            entropy_bound_combined(w, 0.045, FAST)
+            entropy_bound_combined(w, 0.045)
             for w in (0.5, 0.9, 1.0 - 1e-13, 1.0 - 1e-14, 1.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
@@ -182,7 +181,7 @@ class TestBackendAgreement:
     def test_two_var_matches_pure(self):
         for wp, wm, mu in [(1.0, 1.0, 0.0), (0.98, 0.97, 0.0), (0.999, 1.0, 0.01)]:
             s = WinningStats(wp, wm, mu)
-            assert entropy_bound(s, FAST) == bound._entropy_bound_pure(s, FAST)
+            assert entropy_bound(s) == bound._entropy_bound_pure(s, DEFAULT_BOUND_CONFIG)
 
     def test_combined_matches_pure(self):
         for omega, beta in [
@@ -193,8 +192,8 @@ class TestBackendAgreement:
             (1.0 - 1e-12, 0.01),
             (1.0 - 2e-13, 0.01),
         ]:
-            assert entropy_bound_combined(omega, beta, FAST) == (
-                bound._entropy_bound_combined_pure(omega, beta, FAST)
+            assert entropy_bound_combined(omega, beta) == (
+                bound._entropy_bound_combined_pure(omega, beta, DEFAULT_BOUND_CONFIG)
             )
 
     def test_combined_matches_pure_on_rate_requests(self, tmp_path, monkeypatch):
@@ -204,9 +203,9 @@ class TestBackendAgreement:
         pairs = set()
         combined = eat.entropy_bound_combined
 
-        def record(omega, beta, cfg):
+        def record(omega, beta):
             pairs.add((omega, beta))
-            return combined(omega, beta, cfg)
+            return combined(omega, beta)
 
         monkeypatch.setattr(eat, "entropy_bound_combined", record)
         for grid in ("0.9995:1.0:0.0001", "0.999999999999:1.0:2e-13"):
@@ -215,8 +214,8 @@ class TestBackendAgreement:
             assert main(argv) == 0
         assert len(pairs) == 85
         for omega, beta in sorted(pairs):
-            assert combined(omega, beta, RATE_BOUND_CONFIG) == (
-                bound._entropy_bound_combined_pure(omega, beta, RATE_BOUND_CONFIG)
+            assert combined(omega, beta) == (
+                bound._entropy_bound_combined_pure(omega, beta, DEFAULT_BOUND_CONFIG)
             ), (omega, beta)
 
     def test_split_without_prefactor_gives_exact_zero(self):
@@ -231,10 +230,10 @@ class TestBackendAgreement:
             for wp in (lo, hi)
         ]
         assert 1.0 - 10.0 * pens[0] > 0.0 >= 1.0 - 10.0 * pens[1]
-        assert entropy_bound_combined(omega, beta, FAST) == 0.0
-        assert bound._entropy_bound_combined_pure(omega, beta, FAST) == 0.0
+        assert entropy_bound_combined(omega, beta) == 0.0
+        assert bound._entropy_bound_combined_pure(omega, beta, DEFAULT_BOUND_CONFIG) == 0.0
         s = WinningStats(hi, (omega - (1 - beta) * hi) / beta)
-        assert entropy_bound(s, FAST) == 0.0 == bound._entropy_bound_pure(s, FAST)
+        assert entropy_bound(s) == 0.0 == bound._entropy_bound_pure(s, DEFAULT_BOUND_CONFIG)
 
     def test_two_var_rows_match_pure_within_log2_rounding(self):
         # The kernel evaluates the binary entropy, and log2(1/c) at the
@@ -251,8 +250,8 @@ class TestBackendAgreement:
             )
             for _ in range(400)
         ]
-        got = entropy_bounds(stats, FAST)
-        want = [bound._entropy_bound_pure(s, FAST) for s in stats]
+        got = entropy_bounds(stats)
+        want = [bound._entropy_bound_pure(s, DEFAULT_BOUND_CONFIG) for s in stats]
         assert sum(w > 0.0 for w in want) > 50
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
         assert sum(g != w for g, w in zip(got, want)) <= 8

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -10,13 +11,13 @@ from eatcert.devices import ideal_device, serialize_device
 from eatcert.eat import (
     BETA_GRID,
     CUTOFF_GRID,
-    RATE_BOUND_CONFIG,
+    EatParams,
     TradeoffCurve,
     TradeoffFunction,
     accumulation_rate,
     asymptotic_rate,
 )
-from eatcert.protocol import parse_transcript
+from eatcert.protocol import RoundRecord, Transcript, parse_transcript
 from eatcert.verify import SuiteReport
 
 PARAMS = """\
@@ -163,7 +164,7 @@ class TestBound2dCommand:
         assert len(rows) == 36
         nonzero = 0
         for wp, wm, got in rows:
-            want = entropy_bound(WinningStats(float(wp), float(wm)), RATE_BOUND_CONFIG)
+            want = entropy_bound(WinningStats(float(wp), float(wm)))
             assert got == repr(want)
             nonzero += want > 0.0
         assert nonzero >= 10
@@ -207,7 +208,7 @@ class TestRateCommand:
         assert [r[0] for r in rows] == ["1", "1", "2000", "2000"] + ["inf"] * 8
 
 
-def fake_combined_bound(omega, beta, cfg):
+def fake_combined_bound(omega, beta):
     """Cheap stand-in for the combined bound: non-zero only near 1."""
     return max(0.0, 1.0 - 50.0 * (1.0 - omega)) * (1.0 - beta)
 
@@ -226,9 +227,9 @@ class TestRateSharing:
     def test_each_bound_evaluated_once_per_request(self, tmp_path, monkeypatch, capsys):
         calls = Counter()
 
-        def counted(omega, beta, cfg):
+        def counted(omega, beta):
             calls[(omega, beta)] += 1
-            return fake_combined_bound(omega, beta, cfg)
+            return fake_combined_bound(omega, beta)
 
         monkeypatch.setattr(eat, "entropy_bound_combined", counted)
         # The grid's omegas, the tradeoff cutoffs and their secant points.
@@ -308,3 +309,56 @@ class TestSimulateCommand:
             assert main(["simulate", "--device-file", dev, "--params", par,
                          "--seed", "9", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParamsFile:
+    def test_slack_defaults_to_zero(self, tmp_path):
+        _, par = write_inputs(tmp_path)
+        params, omega_0 = cli._load_params(par)
+        assert params.xi_slack == 0.0
+        assert (params.n, params.delta_est, omega_0) == (2000, 0.02, 0.95)
+
+    def test_slack_reaches_the_transcript(self, tmp_path, capsys):
+        dev, par = write_inputs(tmp_path)
+        with open(par, "a") as fh:
+            fh.write("xi_slack = 0.25\n")
+        out = tmp_path / "t.txt"
+        assert main(["simulate", "--device-file", dev, "--params", par,
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert parse_transcript(out.read_text()).params.xi_slack == 0.25
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(EatParams) if f.name != "xi_slack"])
+    def test_missing_key_is_usage_error(self, key, tmp_path, capsys):
+        dev, _ = write_inputs(tmp_path)
+        par = tmp_path / "short.txt"
+        par.write_text("".join(
+            line + "\n" for line in PARAMS.splitlines() if not line.startswith(key + " ")
+        ))
+        assert main(["simulate", "--device-file", dev, "--params", str(par),
+                     "--out", str(tmp_path / "t.txt")]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_simulate_pays_slack_once_per_round(self, tmp_path, monkeypatch, capsys):
+        # n = 10^16 rounds cannot be simulated; a few generation rounds under
+        # those parameters stand in, since the certified entropy depends only
+        # on the parameters of a transcript that did not abort.
+        def few_rounds(device, params, seed):
+            rounds = [RoundRecord(i, f"k{i:08d}", 1, 0, 0, None, None) for i in range(3)]
+            return Transcript.from_rounds(params, seed, rounds)
+
+        monkeypatch.setattr(cli, "run_protocol", few_rounds)
+        dev, _ = write_inputs(tmp_path)
+        n = 10**16
+        rates = []
+        for xi in ("0", "0.01"):
+            par = tmp_path / f"p{xi}.txt"
+            par.write_text(
+                f"n = {n}\ngamma = 0.5\nbeta = 0.045\neps_s = 1e-5\np_omega = 1e-5\n"
+                f"omega_exp = 1.0\ndelta_est = 1e-30\nxi_slack = {xi}\nomega_0 = 1.0\n"
+            )
+            assert main(["simulate", "--device-file", dev, "--params", str(par),
+                         "--out", str(tmp_path / "t.txt")]) == 0
+            summary = dict(tok.split("=") for tok in capsys.readouterr().out.split())
+            rates.append(float(summary["certified_entropy"]) / n)
+        assert rates[1] > 0.0
+        assert rates[0] - rates[1] == pytest.approx(0.01, abs=1e-12)

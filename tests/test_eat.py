@@ -8,7 +8,6 @@ from eatcert.eat import (
     BETA_GRID,
     EatParams,
     OUTCOME_ALPHABET_SIZE,
-    RATE_BOUND_CONFIG,
     TradeoffCurve,
     TradeoffFunction,
     accumulation_rate,
@@ -265,8 +264,7 @@ class TestAsymptoticRate:
             want = max(
                 [0.0]
                 + [
-                    entropy_bound_combined(omega, beta, RATE_BOUND_CONFIG)
-                    * (1.0 - beta * 0.5)
+                    entropy_bound_combined(omega, beta) * (1.0 - beta * 0.5)
                     for beta in BETA_GRID
                 ]
             )
@@ -278,9 +276,9 @@ class TestSharedCurve:
         calls = []
         real = eat.entropy_bound_combined
 
-        def counted(omega, beta, cfg):
+        def counted(omega, beta):
             calls.append(omega)
-            return real(omega, beta, cfg)
+            return real(omega, beta)
 
         monkeypatch.setattr(eat, "entropy_bound_combined", counted)
         curve = TradeoffCurve(0.045, 1.0)
@@ -305,6 +303,18 @@ class TestOptimizeRate:
         ]
         assert rates[0] <= rates[1] <= rates[2]
         assert rates[2] > 0.0
+
+    def test_slack_paid_once_per_round(self):
+        # xi is subtracted once per round, so with the sqrt(n) terms diluted
+        # the best per-round rate falls by exactly xi.
+        rates = [
+            optimize_rate(
+                make_params(n=10**16, omega_exp=1.0, delta_est=1e-30, xi_slack=xi)
+            )[2]
+            for xi in (0.0, 0.01)
+        ]
+        assert rates[1] > 0.0
+        assert rates[0] - rates[1] == pytest.approx(0.01, abs=1e-12)
 
     def test_dominates_fixed_choice(self):
         p = make_params(n=10**10)

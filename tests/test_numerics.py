@@ -17,9 +17,6 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestInterval:
-    def test_width(self):
-        assert Interval(0.25, 0.75).width == 0.5
-
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
@@ -30,6 +27,10 @@ class TestInterval:
 
 
 class TestOptimizerConfig:
+    def test_default_is_the_bound_search(self):
+        # Every bound, rate and simulate output is computed with these values.
+        assert DEFAULT_OPTIMIZER == OptimizerConfig(301, 40, 1e-9)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             OptimizerConfig(grid_points=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,10 +94,6 @@ class TestRunProtocol:
         keys = [r.key_id for r in tr.rounds]
         assert len(set(keys)) == 50
 
-    def test_key_reuse(self):
-        tr = run_protocol(ideal_device(), make_params(n=50), seed=0, key_reuse=True)
-        assert {r.key_id for r in tr.rounds} == {"k00000000"}
-
     def test_round_shape(self):
         tr = run_protocol(ideal_device(), make_params(n=500), seed=2)
         for r in tr.rounds:
@@ -130,17 +127,12 @@ class TestFreq:
             ],
         )
         assert freq_of(tr).counts == (1, 1, 2)
-        assert freq_of(tr, "test").counts == (0, 1, 2)
         assert freq_of(tr).probabilities() == (0.25, 0.25, 0.5)
 
     def test_all_generation(self):
         p = make_params(n=3)
         tr = Transcript.from_rounds(p, 0, [gen_round(i) for i in range(3)])
         assert freq_of(tr).probabilities() == (1.0, 0.0, 0.0)
-
-    def test_unknown_restriction(self):
-        with pytest.raises(ValueError):
-            freq_of(Transcript(params=make_params(), seed=0), "nope")
 
     def test_empty_distribution(self):
         with pytest.raises(ValueError):
@@ -228,8 +220,31 @@ class TestSerialization:
         assert line.endswith(",-,-")
 
     def test_missing_header_rejected(self):
+        text = serialize_transcript(run_protocol(ideal_device(), make_params(n=5), seed=0))
+        for bad in ("", "\n" + text, text.replace("#eatcert-transcript", "#eatcert-transcript2")):
+            with pytest.raises(ValueError, match="missing transcript header"):
+                parse_transcript(bad)
         with pytest.raises(ValueError):
             parse_transcript("0,k,1,0,0,-,-\n")
+
+    def test_header_round_trips_every_field(self):
+        p = EatParams(
+            n=3, gamma=0.3, beta=0.1 + 0.2, eps_s=1e-7, p_omega=0.125,
+            omega_exp=0.875, delta_est=1.0 / 3.0, xi_slack=2.5e-4,
+        )
+        defaults = make_params()
+        for f in dataclasses.fields(EatParams):
+            assert getattr(p, f.name) != getattr(defaults, f.name), f.name
+        tr = Transcript.from_rounds(p, 424242, [gen_round(i) for i in range(3)])
+        text = serialize_transcript(tr)
+        assert text.splitlines()[0] == (
+            "#eatcert-transcript n=3 gamma=0.3 beta=0.30000000000000004 eps_s=1e-07"
+            " p_omega=0.125 omega_exp=0.875 delta_est=0.3333333333333333"
+            " xi_slack=0.00025 seed=424242 aborted=0"
+        )
+        back = parse_transcript(text)
+        assert (back.params, back.seed, back.aborted) == (p, 424242, False)
+        assert serialize_transcript(back) == text
 
 
 def device_with_junk(seed, junk):
@@ -251,16 +266,15 @@ REFERENCE_CASES = [
 
 
 class TestMatchesPerRoundReference:
-    @pytest.mark.parametrize("key_reuse", [False, True])
     @pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 5000])
-    def test_byte_identical(self, n, case, key_reuse):
+    def test_byte_identical(self, n, case):
         junk, gamma, beta = REFERENCE_CASES[case]
         dev = device_with_junk(case, junk)
         p = make_params(n=n, gamma=gamma, beta=beta, omega_exp=0.8)
         seed = 1000 * case + n
-        want = serialize_transcript(run_protocol_per_round(dev, p, seed, key_reuse))
-        assert serialize_transcript(run_protocol(dev, p, seed, key_reuse)) == want
+        want = serialize_transcript(run_protocol_per_round(dev, p, seed))
+        assert serialize_transcript(run_protocol(dev, p, seed)) == want
 
     @pytest.mark.parametrize("draw_block", [4, 5, 64])
     def test_rounds_straddling_draw_blocks(self, monkeypatch, draw_block):
@@ -330,7 +344,34 @@ def _edit_line(text, k, old, new):
     return "\n".join(lines) + "\n"
 
 
+_PARAM_NAMES = [f.name for f in dataclasses.fields(EatParams)]
+
+
 class TestParseRejectsUntrustworthy:
+    @pytest.mark.parametrize("flag", ["2", "-1", "01", "true", ""])
+    def test_abort_flag_other_than_0_or_1(self, flag):
+        dead = QubitBlockDevice((), junk_weight=1.0)
+        text = serialize_transcript(run_protocol(dead, make_params(n=50), seed=0))
+        assert parse_transcript(text).aborted
+        with pytest.raises(ValueError, match="abort flag"):
+            parse_transcript(_edit_line(text, 0, "aborted=1", f"aborted={flag}"))
+
+    @pytest.mark.parametrize("name", _PARAM_NAMES + ["seed", "aborted"])
+    def test_header_missing_a_name(self, name):
+        text = serialize_transcript(run_protocol(ideal_device(), make_params(n=50), seed=0))
+        header = text.splitlines()[0].split(" ")
+        kept = [tok for tok in header if not tok.startswith(name + "=")]
+        assert len(kept) == len(header) - 1
+        with pytest.raises(ValueError, match="transcript header"):
+            parse_transcript(_edit_line(text, 0, " ".join(header), " ".join(kept)))
+
+    @pytest.mark.parametrize("extra", ["n=50", "xi_slack=0.0", "seed=0", "bogus=1", "n", "="])
+    def test_header_with_repeated_or_unknown_name(self, extra):
+        text = serialize_transcript(run_protocol(ideal_device(), make_params(n=50), seed=0))
+        header = text.splitlines()[0]
+        with pytest.raises(ValueError, match="transcript header"):
+            parse_transcript(_edit_line(text, 0, header, f"{header} {extra}"))
+
     def test_round_index_not_its_position(self):
         text = serialize_transcript(run_protocol(ideal_device(), make_params(n=5), seed=0))
         assert parse_transcript(text).params.n == 5
