@@ -11,9 +11,9 @@ import argparse
 import dataclasses
 import math
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .devices import parse_device
+from .devices import parse_device, read_key_values
 from .eat import (
     BETA_GRID,
     CUTOFF_GRID,
@@ -74,23 +74,6 @@ def _parse_grid(spec: str) -> List[float]:
             break
         k += 1
     return values
-
-
-def _read_config(path: str, allowed: Sequence[str]) -> Dict[str, str]:
-    """Flat 'key = value' file with '#' comments; unknown keys rejected."""
-    out: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in allowed:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = val
-    return out
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -169,7 +152,8 @@ _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(EatParams)) + ("omega_0",
 
 
 def _load_params(path: str):
-    kv = _read_config(path, _PARAM_KEYS)
+    with open(path, "r", encoding="utf-8") as fh:
+        kv = read_key_values(fh.read(), path, _PARAM_KEYS)
     try:
         # A parameter file may leave out the slack.
         params = EatParams.from_text({"xi_slack": "0", **kv})
@@ -183,7 +167,7 @@ def _load_params(path: str):
 
 def cmd_simulate(args) -> int:
     with open(args.device_file, "r", encoding="utf-8") as fh:
-        device = parse_device(fh.read())
+        device = parse_device(fh.read(), args.device_file)
     params, omega_0 = _load_params(args.params)
     transcript = run_protocol(device, params, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "exact_equation_entropy",
     "serialize_device",
     "parse_device",
+    "read_key_values",
 ]
 
 _WEIGHT_TOL = 1e-10
@@ -313,28 +314,53 @@ def _parse_state(token: str, angle: float) -> np.ndarray:
     return _named_state(token, angle)
 
 
-def parse_device(text: str) -> QubitBlockDevice:
-    kv = {}
+def read_key_values(
+    text: str, source: str, allowed: Optional[Collection[str]] = None
+) -> Dict[str, str]:
+    """The settings of a flat 'key = value' file with '#' comments, as text.
+
+    Blank lines are skipped.  A line without '=', a key given twice, and a
+    key outside ``allowed`` when that is given are refused with a message
+    that starts ``source:line``.
+    """
+    out: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
-    try:
-        nb = int(kv.pop("blocks"))
-    except KeyError:
-        raise ValueError("missing required key 'blocks'") from None
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise ValueError(f"{source}:{lineno}: expected 'key = value'")
+        if allowed is not None and key not in allowed:
+            raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{source}:{lineno}: repeated key {key!r}")
+        out[key] = value
+    return out
+
+
+def parse_device(text: str, source: str = "<device file>") -> QubitBlockDevice:
+    """The device a device file describes; ``source`` names the file in
+    error messages."""
+    kv = read_key_values(text, source)
+
+    def required(key: str) -> str:
+        try:
+            return kv.pop(key)
+        except KeyError:
+            raise ValueError(f"{source}: missing required key {key!r}") from None
+
+    nb = int(required("blocks"))
+    if nb < 0:
+        raise ValueError(f"{source}: negative block count {nb}")
     junk = float(kv.pop("junk_weight", "0"))
     junk_win = float(kv.pop("junk_equation_win", "0"))
     blocks = []
     for j in range(nb):
-        weight = float(kv.pop(f"block{j}.weight"))
-        angle = float(kv.pop(f"block{j}.angle"))
+        weight = float(required(f"block{j}.weight"))
+        angle = float(required(f"block{j}.angle"))
         state_tok = kv.pop(f"block{j}.state", "m0")
         blocks.append(DeviceBlock(weight, angle, _parse_state(state_tok, angle)))
     if kv:
-        raise ValueError(f"unknown device keys: {sorted(kv)}")
+        raise ValueError(f"{source}: unknown device keys: {sorted(kv)}")
     return QubitBlockDevice(tuple(blocks), junk, junk_win)

@@ -2,12 +2,15 @@
 
 Each round is either a generation round (output bit recorded, nothing
 tested) or a test round; test rounds run either the preimage check or the
-equation check.  Parameter estimation at the end aborts the run when the
-test-round win count falls below the configured threshold.
+equation check, and a test round's win follows from its outcome.  So a
+round is one of eight kinds, ``_KINDS``.  Parameter estimation at the end
+aborts the run when the test-round win count falls below the configured
+threshold.
 
-A transcript keeps its rounds as int8 columns, so the simulator, the file
-format, the frequency counts and the Markov audit each work on whole
-columns; ``Transcript.rounds`` presents the same rounds as ``RoundRecord``s.
+A transcript keeps its rounds as one int8 column of kinds, from which the
+columns of the round fields are derived, so the simulator, the file format,
+the frequency counts and the Markov audit each work on whole columns;
+``Transcript.rounds`` presents the same rounds as ``RoundRecord``s.
 """
 
 from __future__ import annotations
@@ -41,15 +44,25 @@ __all__ = [
 # transcript's columns.
 BOT: None = None
 
-# Round fields held as columns, and the values each may take.
-_DOMAINS = {
-    "g": (0, 1),
-    "t": (BOT, 0, 1),
-    "pi_hat": (BOT, 0, 1, 2),
-    "m_hat": (BOT, 0, 1),
-    "w": (BOT, 0, 1),
-}
-_FIELDS = tuple(_DOMAINS)
+# The eight kinds of round, as (g, t, pi_hat, m_hat, w): generation rounds
+# with preimage outcome 0, 1 or 2; preimage tests, won by any answer off the
+# junk sector (pi_hat != 2); equation tests, won when m_hat = 0.
+_KINDS = (
+    (1, 0, 0, BOT, BOT),
+    (1, 0, 1, BOT, BOT),
+    (1, 0, 2, BOT, BOT),
+    (0, 0, 0, BOT, 1),
+    (0, 0, 1, BOT, 1),
+    (0, 0, 2, BOT, 0),
+    (0, 1, BOT, 0, 1),
+    (0, 1, BOT, 1, 0),
+)
+_KIND_OF = {fields: k for k, fields in enumerate(_KINDS)}
+_FIELDS = ("g", "t", "pi_hat", "m_hat", "w")
+# Row j: field j of each kind, -1 standing for BOT.
+_KIND_COLUMNS = np.array(
+    [[-1 if v is BOT else v for v in fields] for fields in _KINDS], dtype=np.int8
+).T.copy()
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,69 +76,40 @@ class RoundRecord:
     w: Optional[int]  # test-round win indicator
 
     def __post_init__(self):
-        for name in _FIELDS:
-            if getattr(self, name) not in _DOMAINS[name]:
-                raise ValueError(
-                    f"round {self.index}: {name}={getattr(self, name)!r}"
-                    f" outside {_DOMAINS[name]}"
-                )
-        if self.g == 1 and (self.t != 0 or self.w is not BOT):
-            raise ValueError("generation rounds must have t=0 and unobserved w")
-        if self.t == 0 and self.m_hat is not BOT:
-            raise ValueError("preimage rounds must not record an equation outcome")
-        if self.t == 1 and self.pi_hat is not BOT:
-            raise ValueError("equation rounds must not record a preimage outcome")
-
-
-# A round's five fields packed into one code: field k's value + 1 (0 for
-# BOT) in bits 2k and 2k + 1.
-def _code(fields) -> int:
-    return sum((0 if v is BOT else v + 1) << 2 * k for k, v in enumerate(fields))
-
-
-def _fields(code: int) -> Tuple[Optional[int], ...]:
-    return tuple(
-        None if v == 0 else v - 1 for v in ((code >> 2 * k) & 3 for k in range(5))
-    )
+        fields = (self.g, self.t, self.pi_hat, self.m_hat, self.w)
+        if fields not in _KIND_OF:
+            raise ValueError(f"round {self.index}: {fields!r} is not a round kind")
 
 
 @dataclass(eq=False)
 class Transcript:
     """One protocol run: parameters, seed, rounds and abort flag.
 
-    The rounds are columns: ``key_ids`` holds one key id per round, and
-    ``g``, ``t``, ``pi_hat``, ``m_hat`` and ``w`` one read-only int8 entry
-    per round, -1 standing for BOT.  A round's index is its position.  Each
-    distinct combination of the five fields is checked against the
-    ``RoundRecord`` rules on construction.
+    The rounds are columns: ``key_ids`` holds one key id per round and
+    ``kind`` one read-only int8 index into ``_KINDS`` per round.  The
+    read-only int8 columns ``g``, ``t``, ``pi_hat``, ``m_hat`` and ``w``,
+    -1 standing for BOT, are derived from ``kind`` on construction.  A
+    round's index is its position.
     """
 
     params: EatParams
     seed: int
     key_ids: Sequence[str] = ()
-    g: np.ndarray = ()
-    t: np.ndarray = ()
-    pi_hat: np.ndarray = ()
-    m_hat: np.ndarray = ()
-    w: np.ndarray = ()
+    kind: np.ndarray = ()
     aborted: bool = False
 
     def __post_init__(self):
         self.key_ids = tuple(self.key_ids)
         n = len(self.key_ids)
-        for name in _FIELDS:
-            col = np.asarray(getattr(self, name))
-            if col.shape != (n,):
-                raise ValueError(f"column {name} has shape {col.shape}, expected ({n},)")
-            if n and (col.min() < -1 or col.max() > 2):
-                raise ValueError(f"column {name} holds values outside -1..2")
-            col = col.astype(np.int8)
+        kind = np.asarray(self.kind)
+        if kind.shape != (n,):
+            raise ValueError(f"column kind has shape {kind.shape}, expected ({n},)")
+        if n and (kind.dtype.kind not in "iu" or not 0 <= kind.min() <= kind.max() < 8):
+            raise ValueError("column kind must hold integers in 0..7")
+        self.kind = kind.astype(np.int8)
+        for name, col in zip(("kind", *_FIELDS), (self.kind, *_KIND_COLUMNS[:, self.kind])):
             col.flags.writeable = False
             setattr(self, name, col)
-        codes = self._codes()
-        for code in np.flatnonzero(np.bincount(codes)):
-            i = int(np.argmax(codes == code))
-            RoundRecord(i, self.key_ids[i], *_fields(int(code)))
 
     @classmethod
     def from_rounds(
@@ -141,18 +125,8 @@ class Transcript:
         for i, r in enumerate(rounds):
             if r.index != i:
                 raise ValueError(f"round record {i} carries index {r.index}")
-        columns = {
-            name: [-1 if getattr(r, name) is BOT else getattr(r, name) for r in rounds]
-            for name in _FIELDS
-        }
-        return cls(params, seed, [r.key_id for r in rounds], **columns, aborted=aborted)
-
-    def _codes(self) -> np.ndarray:
-        """Each round's fields packed as by ``_code``, as int16."""
-        codes = np.zeros(len(self.key_ids), dtype=np.int16)
-        for k, name in enumerate(_FIELDS):
-            codes |= (getattr(self, name).astype(np.int16) + 1) << 2 * k
-        return codes
+        kind = [_KIND_OF[r.g, r.t, r.pi_hat, r.m_hat, r.w] for r in rounds]
+        return cls(params, seed, [r.key_id for r in rounds], kind, aborted)
 
     @property
     def rounds(self) -> "_RoundsView":
@@ -165,7 +139,7 @@ class Transcript:
         return (p.omega_exp * p.gamma - p.delta_est) * p.n
 
     def test_win_count(self) -> int:
-        return int(np.count_nonzero((self.g == 0) & (self.w == 1)))
+        return int(np.count_nonzero(self.w == 1))
 
 
 class _RoundsView(Sequence):
@@ -184,14 +158,11 @@ class _RoundsView(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        fields = (int(getattr(self._tr, name)[i]) for name in _FIELDS)
-        return RoundRecord(i, self._tr.key_ids[i], *(None if v < 0 else v for v in fields))
+        return RoundRecord(i, self._tr.key_ids[i], *_KINDS[self._tr.kind[i]])
 
     def __iter__(self) -> Iterator[RoundRecord]:
-        codes = self._tr._codes()
-        fields = {int(c): _fields(int(c)) for c in np.unique(codes)}
-        for i, (key, code) in enumerate(zip(self._tr.key_ids, codes.tolist())):
-            yield RoundRecord(i, key, *fields[code])
+        for i, (key, kind) in enumerate(zip(self._tr.key_ids, self._tr.kind.tolist())):
+            yield RoundRecord(i, key, *_KINDS[kind])
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -240,7 +211,7 @@ def run_protocol(
     cum_weights = device.cumulative_weights
     in_blocks = float(cum_weights[-1]) if len(cum_weights) else 0.0
 
-    parts: List[Tuple[np.ndarray, ...]] = []
+    parts: List[np.ndarray] = []
     done = 0
     u = np.empty(0)
     while done < n:
@@ -268,22 +239,17 @@ def run_protocol(
         pre = ~eq
         u_block = u[np.where(gen, s + 1, s + 2)]
         u_outcome = u[s + steps[s] - 1]  # the round's last uniform
-        pi_hat = np.full(len(s), -1, dtype=np.int8)
-        pi_hat[pre] = device.respond_preimage(u_block[pre], u_outcome[pre])
-        m_hat = np.full(len(s), -1, dtype=np.int8)
-        m_hat[eq] = device.respond_equation(u_block[eq], u_outcome[eq])
-        # A test round wins on an equation win or a preimage answer off junk.
-        w = np.where(gen, -1, np.where(eq, m_hat == 0, pi_hat != 2))
-        parts.append((gen, eq, pi_hat, m_hat, w))
+        outcome = np.empty(len(s), dtype=np.int8)
+        outcome[pre] = device.respond_preimage(u_block[pre], u_outcome[pre])
+        outcome[eq] = device.respond_equation(u_block[eq], u_outcome[eq])
+        # Kinds 0-2 are generation rounds, 3-5 preimage tests and 6-7
+        # equation tests, each ordered by outcome.
+        parts.append(np.where(gen, 0, np.where(eq, 6, 3)) + outcome)
         done += len(starts)
         u = u[pos:]
 
-    columns = {
-        name: np.concatenate([part[k] for part in parts]).astype(np.int8)
-        for k, name in enumerate(_FIELDS)
-    }
     keys = ["k%08d" % i for i in range(n)]
-    tr = Transcript(params=params, seed=seed, key_ids=keys, **columns)
+    tr = Transcript(params, seed, keys, np.concatenate(parts))
     tr.aborted = tr.test_win_count() < tr.abort_threshold
     return tr
 
@@ -359,12 +325,11 @@ def markov_condition_audit(transcript: Transcript) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _enc(value: Optional[int]) -> str:
-    return "-" if value is BOT else str(value)
-
-
-def _dec(token: str) -> Optional[int]:
-    return BOT if token == "-" else int(token)
+# Each kind's round-line suffix "g,t,pi_hat,m_hat,w", and back.
+_SUFFIXES = np.array(
+    [",".join("-" if v is BOT else str(v) for v in fields) for fields in _KINDS], dtype=object
+)
+_KIND_OF_SUFFIX = {suffix: k for k, suffix in enumerate(_SUFFIXES)}
 
 
 # The header's names after "#eatcert-transcript": the parameters, then
@@ -377,12 +342,7 @@ def serialize_transcript(tr: Transcript) -> str:
         f"#eatcert-transcript {tr.params.tokens()}"
         f" seed={tr.seed} aborted={int(tr.aborted)}"
     )
-    # Each line ends in its round's "g,t,pi_hat,m_hat,w", one of a few.
-    codes = tr._codes()
-    suffixes = np.empty(1 << 10, dtype=object)  # one slot per possible code
-    for code in np.unique(codes):
-        suffixes[code] = ",".join(_enc(v) for v in _fields(int(code)))
-    rows = zip(map(str, range(len(codes))), tr.key_ids, suffixes[codes].tolist())
+    rows = zip(map(str, range(len(tr.kind))), tr.key_ids, _SUFFIXES[tr.kind].tolist())
     return "\n".join(itertools.chain([header], map(",".join, rows))) + "\n"
 
 
@@ -391,10 +351,12 @@ def parse_transcript(text: str) -> Transcript:
 
     The header must give each parameter, the seed and the abort flag once,
     and nothing else; the abort flag must be 0 or 1.  Every round line must
-    carry its position as its index, the file must hold exactly the header's
-    n rounds, and its abort flag must be the abort rule applied to those
-    rounds.  Blank lines are skipped; any other line that is not a round, an
-    ``#error`` line among them, is refused.
+    carry its position as its index and end in the fields of one of the
+    eight round kinds, spelled as ``serialize_transcript`` spells them; the
+    file must hold exactly the header's n rounds, and its abort flag must be
+    the abort rule applied to those rounds.  Blank lines are skipped; any
+    other line that is not a round, an ``#error`` line among them, is
+    refused.
     """
     lines = text.splitlines()
     words = lines[0].split() if lines else []
@@ -413,9 +375,7 @@ def parse_transcript(text: str) -> Transcript:
         raise ValueError(f"abort flag {header['aborted']!r} is neither 0 nor 1")
     aborted = header["aborted"] == "1"
     keys: List[str] = []
-    codes: List[int] = []
-    # Each distinct "g,t,pi_hat,m_hat,w" suffix is decoded and checked once.
-    suffix_codes = {}
+    kinds: List[int] = []
     for line in lines[1:]:
         try:
             index, key, suffix = line.split(",", 2)
@@ -428,23 +388,16 @@ def parse_transcript(text: str) -> Transcript:
         i = len(keys)
         if index != i:
             raise ValueError(f"round {i} is numbered {index}")
-        code = suffix_codes.get(suffix)
-        if code is None:
-            values = [_dec(tok) for tok in suffix.split(",")]
-            if len(values) != len(_FIELDS):
-                raise ValueError(f"round {i}: expected 7 comma-separated fields")
-            RoundRecord(i, key, *values)
-            code = suffix_codes[suffix] = _code(values)
+        kind = _KIND_OF_SUFFIX.get(suffix)
+        if kind is None:
+            raise ValueError(
+                f"round {i}: g,t,pi_hat,m_hat,w = {suffix[:40]!r} is not a round kind"
+            )
         keys.append(key)
-        codes.append(code)
+        kinds.append(kind)
     if len(keys) != params.n:
         raise ValueError(f"transcript holds {len(keys)} rounds, its header n={params.n}")
-    packed = np.array(codes, dtype=np.int16)
-    columns = {
-        name: ((packed >> 2 * k) & 3).astype(np.int8) - 1
-        for k, name in enumerate(_FIELDS)
-    }
-    tr = Transcript(params, int(header["seed"]), keys, **columns, aborted=aborted)
+    tr = Transcript(params, int(header["seed"]), keys, np.array(kinds, dtype=np.int8), aborted)
     if aborted != (tr.test_win_count() < tr.abort_threshold):
         raise ValueError(
             f"abort flag {int(aborted)} disagrees with {tr.test_win_count()} test-round"

@@ -311,6 +311,48 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestKeyValueFiles:
+    """Parameter and device files share one 'key = value' reader."""
+
+    def simulate(self, tmp_path, device_text=None, params_text=PARAMS):
+        dev, par = write_inputs(tmp_path)
+        if device_text is not None:
+            dev = tmp_path / "device-under-test.txt"
+            dev.write_text(device_text)
+        par = tmp_path / "params-under-test.txt"
+        par.write_text(params_text)
+        return main(["simulate", "--device-file", str(dev), "--params", str(par),
+                     "--out", str(tmp_path / "t.txt")])
+
+    def test_repeated_parameter_refused_at_its_line(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, params_text=PARAMS + "omega_exp = 0.5\n") == 1
+        assert "params-under-test.txt:9: repeated key 'omega_exp'" in capsys.readouterr().err
+
+    def test_repeated_device_key_refused_at_its_line(self, tmp_path, capsys):
+        text = serialize_device(ideal_device())
+        angle = next(line for line in text.splitlines() if line.startswith("block0.angle"))
+        text = text.replace(angle, f"{angle}\nblock0.angle = 0.25")
+        assert self.simulate(tmp_path, device_text=text) == 1
+        assert "device-under-test.txt:6: repeated key 'block0.angle'" in capsys.readouterr().err
+
+    def test_negative_block_count_refused(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, device_text="blocks = -3\njunk_weight = 1.0\n") == 1
+        assert "negative block count -3" in capsys.readouterr().err
+
+    def test_missing_device_key_named(self, tmp_path, capsys):
+        text = "blocks = 1\nblock0.weight = 1.0\n"
+        assert self.simulate(tmp_path, device_text=text) == 1
+        assert "missing required key 'block0.angle'" in capsys.readouterr().err
+
+    def test_unknown_keys_and_malformed_lines_at_their_line(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, params_text=PARAMS + "bogus = 1\n") == 1
+        assert "params-under-test.txt:9: unknown key 'bogus'" in capsys.readouterr().err
+        assert self.simulate(tmp_path, params_text="# n\n\nn 2000\n") == 1
+        assert "params-under-test.txt:3: expected 'key = value'" in capsys.readouterr().err
+        assert self.simulate(tmp_path, device_text="blocks = 0\njunk_weight\n") == 1
+        assert "device-under-test.txt:2: expected 'key = value'" in capsys.readouterr().err
+
+
 class TestParamsFile:
     def test_slack_defaults_to_zero(self, tmp_path):
         _, par = write_inputs(tmp_path)

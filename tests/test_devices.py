@@ -309,6 +309,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_device("junk_weight = 1.0\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="dev:3: repeated key 'junk_weight'"):
+            parse_device("blocks = 0\njunk_weight = 1.0\njunk_weight = 1.0\n", "dev")
+
+    def test_negative_block_count_rejected(self):
+        with pytest.raises(ValueError, match="negative block count"):
+            parse_device("blocks = -3\njunk_weight = 1.0\n")
+
+    def test_missing_block_key_named(self):
+        with pytest.raises(ValueError, match="missing required key 'block0.angle'"):
+            parse_device("blocks = 1\nblock0.weight = 1.0\n")
+
     def test_comments_and_blank_lines(self):
         text = "# a device\nblocks = 0\njunk_weight = 1.0  # all junk\n\n"
         dev = parse_device(text)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -44,6 +45,25 @@ def make_params(**overrides):
 
 def gen_round(i, w_prev=None):
     return RoundRecord(i, f"k{i:08d}", 1, 0, 0, BOT, BOT)
+
+
+# Every (g, t, pi_hat, m_hat, w) a round may carry: generation rounds with
+# any preimage outcome, preimage tests won off the junk answer 2, equation
+# tests won on m_hat = 0.
+ROUND_KINDS = [
+    (1, 0, 0, BOT, BOT),
+    (1, 0, 1, BOT, BOT),
+    (1, 0, 2, BOT, BOT),
+    (0, 0, 0, BOT, 1),
+    (0, 0, 1, BOT, 1),
+    (0, 0, 2, BOT, 0),
+    (0, 1, BOT, 0, 1),
+    (0, 1, BOT, 1, 0),
+]
+# Every combination of the values each field can spell: 216 tuples.
+ALL_FIELD_TUPLES = list(
+    itertools.product([0, 1], [BOT, 0, 1], [BOT, 0, 1, 2], [BOT, 0, 1], [BOT, 0, 1])
+)
 
 
 class TestRoundRecord:
@@ -322,13 +342,16 @@ class TestColumns:
             Transcript.from_rounds(make_params(n=2), 0, [gen_round(0), gen_round(2)])
 
     def test_constructor_checks_record_rules(self):
-        with pytest.raises(ValueError):
-            # A generation round with an observed win bit.
-            Transcript(make_params(n=1), 0, ["k"], g=[1], t=[0], pi_hat=[0], m_hat=[-1], w=[1])
-        with pytest.raises(ValueError):
-            Transcript(make_params(n=1), 0, ["k"], g=[1], t=[0], pi_hat=[3], m_hat=[-1], w=[-1])
-        with pytest.raises(ValueError):
-            Transcript(make_params(n=2), 0, ["k"], g=[1, 1], t=[0], pi_hat=[0], m_hat=[-1], w=[-1])
+        for kind in ([-1], [8], [3, 9], [2.5], [True]):
+            with pytest.raises(ValueError, match="integers in 0..7"):
+                Transcript(make_params(n=len(kind)), 0, ["k"] * len(kind), kind)
+        with pytest.raises(ValueError, match="shape"):
+            Transcript(make_params(n=2), 0, ["k"], [0, 0])
+        with pytest.raises(ValueError, match="shape"):
+            Transcript(make_params(n=2), 0, ["k", "k"], [0])
+        tr = Transcript(make_params(n=8), 0, ["k"] * 8, range(8))
+        assert tr.kind.dtype == np.int8 and not tr.kind.flags.writeable
+        assert [(r.g, r.t, r.pi_hat, r.m_hat, r.w) for r in tr.rounds] == ROUND_KINDS
 
     def test_record_domains(self):
         with pytest.raises(ValueError):
@@ -424,21 +447,54 @@ class TestParseRejectsUntrustworthy:
                 parse_transcript("\n".join(lines) + "\n")
 
 
-_FIELD_VALUES = st.tuples(
-    st.sampled_from([0, 1]),
-    st.sampled_from([BOT, 0, 1]),
-    st.sampled_from([BOT, 0, 1, 2]),
-    st.sampled_from([BOT, 0, 1]),
-    st.sampled_from([BOT, 0, 1]),
-)
+def _transcript_text(params, aborted, suffixes):
+    header = f"#eatcert-transcript {params.tokens()} seed=0 aborted={int(aborted)}"
+    lines = [header] + [f"{i},k{i:08d},{suffix}" for i, suffix in enumerate(suffixes)]
+    return "\n".join(lines) + "\n"
 
 
-def _valid(fields):
-    try:
-        RoundRecord(0, "k", *fields)
-    except ValueError:
-        return False
-    return True
+def _spell(fields):
+    return ",".join("-" if v is BOT else str(v) for v in fields)
+
+
+class TestOnlyRoundKinds:
+    def test_field_domains_hold_216_tuples(self):
+        assert len(set(ALL_FIELD_TUPLES)) == 216
+        assert set(ROUND_KINDS) <= set(ALL_FIELD_TUPLES)
+
+    @pytest.mark.parametrize("fields", ALL_FIELD_TUPLES, ids=_spell)
+    def test_exactly_the_eight_kinds_are_accepted(self, fields):
+        # A one-round file whose abort flag agrees with the win it claims:
+        # at n = 1 the threshold is 0.455, so a claimed win passes.
+        p = make_params(n=1)
+        text = _transcript_text(p, fields[4] != 1, [_spell(fields)])
+        if fields in ROUND_KINDS:
+            assert RoundRecord(0, "k", *fields).w == fields[4]
+            assert parse_transcript(text).rounds == [RoundRecord(0, "k00000000", *fields)]
+        else:
+            with pytest.raises(ValueError, match="not a round kind"):
+                RoundRecord(0, "k", *fields)
+            with pytest.raises(ValueError, match="not a round kind"):
+                parse_transcript(text)
+
+    @pytest.mark.parametrize(
+        "forged",
+        ["0,0,2,-,1", "0,1,-,1,1"],
+        ids=["failed-preimage-test", "lost-equation-test"],
+    )
+    def test_forged_wins_refused(self, forged):
+        # Every round a lost test that claims a win: read as won, the file
+        # would pass parameter estimation with 2000 test wins.
+        p = make_params()
+        with pytest.raises(ValueError, match="round 0: .* is not a round kind"):
+            parse_transcript(_transcript_text(p, False, [forged] * p.n))
+
+    def test_honest_spellings_only(self):
+        p = make_params(n=1)
+        for suffix in ("1,0, 0,-,-", "1,0,+0,-,-", "1,0,0,-,-,", "1,0,0,,-", "1,0,00,-,-"):
+            with pytest.raises(ValueError, match="not a round kind"):
+                parse_transcript(_transcript_text(p, True, [suffix]))
+        assert parse_transcript(_transcript_text(p, True, ["1,0,0,-,-"])).params.n == 1
 
 
 _LINE_TEXT = st.text(
@@ -451,7 +507,7 @@ class TestSerializationProperty:
     @settings(max_examples=60, deadline=None)
     @given(
         rounds=st.lists(
-            st.tuples(_LINE_TEXT, _FIELD_VALUES.filter(_valid)), min_size=1, max_size=30
+            st.tuples(_LINE_TEXT, st.sampled_from(ROUND_KINDS)), min_size=1, max_size=30
         ),
         seed=st.integers(0, 2**31 - 1),
     )
