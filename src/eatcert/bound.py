@@ -165,9 +165,12 @@ def _entropy_bound_pure(stats: WinningStats, cfg: BoundConfig) -> float:
     return max(0.0, best - projection_continuity_penalty(stats.preimage_rate))
 
 
-# Rows of the c grid evaluated per matrix; a chunk's temporaries stay near
-# 100 kB with the 301-point rate grid.
-_CHUNK_ROWS = 48
+# Rows of the c grid evaluated per matrix.  With the 301-point rate grid a
+# chunk's temporaries stay near 40 kB, so the few alive at once fit under
+# glibc's default 128 kB trim threshold: at 48 rows (115 kB each) a small
+# heap gave them back to the system after every chunk and faulted them in
+# again, about 7600 page faults per `rate-curves` batch.
+_CHUNK_ROWS = 16
 
 
 def _overlap_bound(a, log2_inv_c, pen, arg_base):

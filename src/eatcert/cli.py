@@ -25,6 +25,7 @@ from .eat import (
     entropy_bound_combined,
 )
 from .bound import WinningStats, entropy_bounds
+from .numerics import parse_number
 from .protocol import certify, freq_of, run_protocol, serialize_transcript
 from .verify import run_suite
 
@@ -155,13 +156,13 @@ def _load_params(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         kv = read_key_values(fh.read(), path, _PARAM_KEYS)
     try:
-        # A parameter file may leave out the slack.
+        # A parameter file may leave out the slack and the cutoff.
         params = EatParams.from_text({"xi_slack": "0", **kv})
+        omega_0 = parse_number(kv.get("omega_0", "0.95"), "key 'omega_0'")
     except KeyError as exc:
         raise UsageError(f"{path}: missing required key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
-    omega_0 = float(kv.get("omega_0", "0.95"))
     return params, omega_0
 
 

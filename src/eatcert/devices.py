@@ -20,6 +20,7 @@ import numpy as np
 
 from . import quantum
 from .bound import WinningStats
+from .numerics import parse_number
 
 __all__ = [
     "DeviceBlock",
@@ -344,23 +345,30 @@ def parse_device(text: str, source: str = "<device file>") -> QubitBlockDevice:
     error messages."""
     kv = read_key_values(text, source)
 
-    def required(key: str) -> str:
-        try:
-            return kv.pop(key)
-        except KeyError:
-            raise ValueError(f"{source}: missing required key {key!r}") from None
+    def value(key: str, default: Optional[str] = None) -> str:
+        text = kv.pop(key, default)
+        if text is None:
+            raise ValueError(f"{source}: missing required key {key!r}")
+        return text
 
-    nb = int(required("blocks"))
+    def number(key: str, default: Optional[str] = None, kind: type = float):
+        return parse_number(value(key, default), f"{source}: key {key!r}", kind)
+
+    nb = number("blocks", kind=int)
     if nb < 0:
         raise ValueError(f"{source}: negative block count {nb}")
-    junk = float(kv.pop("junk_weight", "0"))
-    junk_win = float(kv.pop("junk_equation_win", "0"))
+    junk = number("junk_weight", "0")
+    junk_win = number("junk_equation_win", "0")
     blocks = []
     for j in range(nb):
-        weight = float(required(f"block{j}.weight"))
-        angle = float(required(f"block{j}.angle"))
-        state_tok = kv.pop(f"block{j}.state", "m0")
-        blocks.append(DeviceBlock(weight, angle, _parse_state(state_tok, angle)))
+        weight = number(f"block{j}.weight")
+        angle = number(f"block{j}.angle")
+        state_key = f"block{j}.state"
+        try:
+            state = _parse_state(value(state_key, "m0"), angle)
+        except ValueError as exc:
+            raise ValueError(f"{source}: key {state_key!r}: {exc}") from None
+        blocks.append(DeviceBlock(weight, angle, state))
     if kv:
         raise ValueError(f"{source}: unknown device keys: {sorted(kv)}")
     return QubitBlockDevice(tuple(blocks), junk, junk_win)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .bound import DEFAULT_BOUND_CONFIG, entropy_bound_combined
+from .numerics import parse_number
 
 __all__ = [
     "OUTCOME_ALPHABET_SIZE",
@@ -87,11 +88,13 @@ class EatParams:
 
     @classmethod
     def from_text(cls, values: Mapping[str, str]) -> "EatParams":
-        """Parameters from a name -> text mapping: int for n, float for the
-        rest.  A missing name raises KeyError; other names are ignored."""
-        return cls(
-            **{f.name: (int if f.name == "n" else float)(values[f.name]) for f in fields(cls)}
-        )
+        """Parameters from a name -> text mapping: a whole number for n, a
+        float for the rest.  A missing name raises KeyError, a value that is
+        not a number ValueError naming its key; other names are ignored."""
+        return cls(**{
+            f.name: parse_number(values[f.name], f"key {f.name!r}", int if f.name == "n" else float)
+            for f in fields(cls)
+        })
 
     def tokens(self) -> str:
         """'name=repr(value)' for each field in order, space-separated."""

@@ -1,4 +1,5 @@
-"""Scalar special functions and bounded one-dimensional optimizers.
+"""Scalar special functions, bounded one-dimensional optimizers, and the
+reading of numbers from text.
 
 Everything here is deterministic: the optimizers are a dense grid scan
 followed by golden-section refinement around the best grid cell, so repeated
@@ -19,6 +20,7 @@ __all__ = [
     "clamp01",
     "maximize_scalar",
     "minimize_scalar",
+    "parse_number",
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -54,6 +56,16 @@ class OptimizerConfig:
 
 
 DEFAULT_OPTIMIZER = OptimizerConfig()
+
+
+def parse_number(text: str, what: str, kind: type = float):
+    """``kind(text)`` for ``kind`` float or int; text that is not such a
+    number is refused with a message that starts with ``what``."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "a whole number" if kind is int else "a number"
+        raise ValueError(f"{what}: not {noun} {text!r}") from None
 
 
 def binary_entropy(x: float) -> float:

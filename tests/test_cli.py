@@ -352,6 +352,34 @@ class TestKeyValueFiles:
         assert self.simulate(tmp_path, device_text="blocks = 0\njunk_weight\n") == 1
         assert "device-under-test.txt:2: expected 'key = value'" in capsys.readouterr().err
 
+    # A value that is not a number is refused with the file and the key.
+
+    def test_fractional_block_count_named(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, device_text="blocks = 2.0\n") == 1
+        assert ("device-under-test.txt: key 'blocks': not a whole number '2.0'"
+                in capsys.readouterr().err)
+
+    def test_non_numeric_block_weight_named(self, tmp_path, capsys):
+        text = "blocks = 1\nblock0.weight = abc\nblock0.angle = 0.3\n"
+        assert self.simulate(tmp_path, device_text=text) == 1
+        assert ("device-under-test.txt: key 'block0.weight': not a number 'abc'"
+                in capsys.readouterr().err)
+
+    def test_non_numeric_cutoff_named(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, params_text=PARAMS.replace("omega_0 = 0.95", "omega_0 = x")) == 1
+        assert "params-under-test.txt: key 'omega_0': not a number 'x'" in capsys.readouterr().err
+
+    def test_non_integer_round_count_named(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, params_text=PARAMS.replace("n = 2000", "n = 2e3")) == 1
+        assert ("params-under-test.txt: key 'n': not a whole number '2e3'"
+                in capsys.readouterr().err)
+
+    def test_bad_block_state_named(self, tmp_path, capsys):
+        text = "blocks = 1\nblock0.weight = 1\nblock0.angle = 0.3\nblock0.state = up\n"
+        assert self.simulate(tmp_path, device_text=text) == 1
+        assert ("device-under-test.txt: key 'block0.state': unknown state token 'up'"
+                in capsys.readouterr().err)
+
 
 class TestParamsFile:
     def test_slack_defaults_to_zero(self, tmp_path):

@@ -1,10 +1,14 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2, chi2_contingency
 
 from eatcert import protocol
 from eatcert.devices import DeviceBlock, QubitBlockDevice, ideal_device, random_device
@@ -223,6 +227,90 @@ class TestMarkovAudit:
         p = make_params(n=1500)
         tr = Transcript.from_rounds(p, 0, [gen_round(i) for i in range(p.n)])
         assert markov_condition_audit(tr)
+
+
+def categories(table):
+    """xs, ys whose 3x3 cross-tabulation holds ``table`` in its corner."""
+    table = np.asarray(table)
+    cells = np.repeat(np.arange(table.size), table.ravel())
+    return cells // table.shape[1], cells % table.shape[1]
+
+
+class TestChiSquare:
+    """The audit's test is Pearson's chi-square independence test with
+    Yates' correction at one degree of freedom, as scipy computes it."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_matches_scipy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        compared = 0
+        for _ in range(400):
+            probs = rng.dirichlet(np.full(shape[0] * shape[1], rng.choice([0.5, 1.0, 5.0])))
+            table = rng.multinomial(int(rng.integers(10, 3000)), probs).reshape(shape)
+            if table.sum(axis=0).min() == 0 or table.sum(axis=1).min() == 0:
+                continue
+            _, ref, dof, expected = chi2_contingency(table)
+            assert dof == (shape[0] - 1) * (shape[1] - 1)
+            p = protocol._chi2_independent(*categories(table))
+            if expected.min() < 1.0:
+                assert p is None
+                continue
+            compared += 1
+            if ref >= 1e-300:
+                assert p == pytest.approx(ref, rel=1e-12, abs=0.0)
+            else:
+                assert p < 1e-299
+        assert compared >= 200
+
+    def test_yates_step_capped_at_the_distance_to_expected(self):
+        # Expected counts 100/21, 110/21, 110/21, 121/21: every cell is
+        # 5/21 < 1/2 from its expected count, so the corrected table equals
+        # the expected one; a full half step would overshoot it.
+        table = [[5, 5], [5, 6]]
+        p = protocol._chi2_independent(*categories(table))
+        assert p == chi2_contingency(table)[1] == 1.0
+
+    def test_yates_half_step(self):
+        table = [[30, 10], [12, 28]]
+        p = protocol._chi2_independent(*categories(table))
+        assert p == pytest.approx(chi2_contingency(table)[1], rel=1e-12)
+        assert p != pytest.approx(chi2_contingency(table, correction=False)[1], rel=1e-3)
+
+    def test_degenerate_tables_give_none(self):
+        # One row: xs is constant.
+        assert protocol._chi2_independent(*categories([[40, 25, 35]])) is None
+        # An expected count of 1/101 * 50 < 1.
+        assert protocol._chi2_independent(*categories([[50, 50], [1, 0]])) is None
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4])
+    @pytest.mark.parametrize("x", [0.0, 0.01, 0.5, 3.84, 9.49, 40.0, 300.0, 1300.0])
+    def test_tail_matches_scipy(self, x, dof):
+        assert protocol._chi2_tail(x, dof) == pytest.approx(chi2.sf(x, dof), rel=1e-12, abs=0.0)
+
+    def test_tail_refuses_other_dof(self):
+        with pytest.raises(ValueError):
+            protocol._chi2_tail(1.0, 5)
+
+
+def test_cli_and_audit_load_no_scipy():
+    # scipy.stats alone took about 0.7 s of each cold start.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "import eatcert.cli\n"
+        "from eatcert.devices import ideal_device\n"
+        "from eatcert.eat import EatParams\n"
+        "from eatcert.protocol import markov_condition_audit, run_protocol\n"
+        "params = EatParams(n=2000, gamma=0.5, beta=0.045, eps_s=1e-5, p_omega=1e-5,"
+        " omega_exp=0.95, delta_est=0.02)\n"
+        "assert markov_condition_audit(run_protocol(ideal_device(), params, 3))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 class TestSerialization:
